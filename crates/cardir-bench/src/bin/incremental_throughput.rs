@@ -10,6 +10,11 @@
 //!   the N·(N−1) pair space (the `< 5%` claim at N = 10 000),
 //! * mean edit latency and edits/sec through the full store (engine
 //!   recompute + durable journal append),
+//! * the publication cost `snapshot_publish_ns`: the median over the K
+//!   edits of the engine `snapshot()` taken right after each edit. Each
+//!   snapshot stays alive until the next one is taken, as a server's
+//!   current epoch does, so the edits pay the copy-on-write of what they
+//!   touch; the publication time is excluded from the edit latency,
 //! * the measured speedup of one edit over a fresh full spatial-join
 //!   recompute of the same map,
 //! * journal traffic (bytes, compactions) and the crash-replay cost:
@@ -119,6 +124,8 @@ fn main() {
         // by a small seeded offset, clamped into the extent.
         let policy = RunPolicy::default();
         let stats_before = store.engine().stats();
+        let mut publish_ns = Vec::with_capacity(edits);
+        let mut published = None;
         let start = Instant::now();
         for _ in 0..edits {
             let live: Vec<u32> = store.engine().live_regions().map(|(id, _)| id).collect();
@@ -131,8 +138,16 @@ fn main() {
             let dy = dy.clamp(extent.min.y - mbb.min.y, extent.max.y - mbb.max.y);
             let replacement = region.translated(dx, dy);
             store.apply(Edit::Replace(victim, replacement), &policy).expect("edit applies");
+            let publish = Instant::now();
+            let snapshot = store.engine().snapshot();
+            publish_ns.push(ns(publish.elapsed()));
+            drop(published.replace(snapshot));
         }
-        let edit_elapsed = start.elapsed();
+        let edit_elapsed =
+            start.elapsed() - std::time::Duration::from_nanos(publish_ns.iter().sum::<u64>());
+        drop(published);
+        publish_ns.sort_unstable();
+        let snapshot_publish_ns = publish_ns.get(publish_ns.len() / 2).copied().unwrap_or(0);
         let stats = store.engine().stats();
         let pairs_invalidated = stats.pairs_invalidated - stats_before.pairs_invalidated;
         let pairs_recomputed = stats.pairs_recomputed - stats_before.pairs_recomputed;
@@ -152,6 +167,7 @@ fn main() {
         println!(
             "full recompute baseline: {full_recompute:.2?} → one edit is {speedup_vs_full:.0}x faster"
         );
+        println!("publication: median snapshot() after an edit {snapshot_publish_ns} ns");
 
         let journal_bytes = store.journal_bytes();
         let compactions = store.stats().compactions;
@@ -193,6 +209,7 @@ fn main() {
                     ("exact_stored", Json::from(final_exact)),
                     ("avg_edit_ns", Json::from(avg_edit_ns)),
                     ("edits_per_sec", Json::from(edits_per_sec)),
+                    ("snapshot_publish_ns", Json::from(snapshot_publish_ns)),
                     ("full_recompute_ns", Json::from(ns(full_recompute))),
                     ("speedup_vs_full", Json::from(speedup_vs_full)),
                     ("journal_bytes", Json::from(journal_bytes)),

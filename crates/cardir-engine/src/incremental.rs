@@ -53,6 +53,18 @@
 //! and the decided-tile test, making staleness a cost concern only, and
 //! the tree is rebuilt from live boxes once tombstones outnumber them.
 //!
+//! # Structural sharing
+//!
+//! Every region sits behind an `Arc`, the exact pairs are stored as one
+//! `Arc`'d row per primary slot (sorted by reference slot), and the
+//! pending set is one `Arc`'d set. [`IncrementalEngine::snapshot`]
+//! therefore copies only the outer vectors of pointers, and writers
+//! mutate through [`Arc::make_mut`]: an edit of slot `r` copies the rows
+//! of `r`'s partners that hold a pair with `r` (its own row is rebuilt,
+//! not copied) and nothing else, however many snapshots still hold the
+//! previous epoch. Publication costs O(slots) pointer copies plus
+//! O(edit) row copies instead of a deep copy of every region and pair.
+//!
 //! # Bit-identity
 //!
 //! Recomputation builds a mini [`RegionCache`] over just the edited
@@ -235,12 +247,15 @@ pub struct IncrementalEngine {
     mode: EngineMode,
     threads: usize,
     /// Slot-keyed regions; `None` marks a removed slot (never reused).
-    slots: Vec<Option<Region>>,
+    slots: Vec<Option<Arc<Region>>>,
     live: usize,
-    /// Interacting ordered pairs with their computed values.
-    exact: BTreeMap<(u32, u32), StoredPair>,
+    /// Interacting ordered pairs with their computed values: row `a`
+    /// maps reference `b` to the value of `(a, b)`. One row per slot.
+    exact: Vec<Row>,
+    /// Total entries across `exact`'s rows.
+    exact_len: usize,
     /// Interacting ordered pairs awaiting repair.
-    pending: BTreeSet<(u32, u32)>,
+    pending: Arc<BTreeSet<(u32, u32)>>,
     /// Undirected adjacency: `x ∈ partners[r]` iff some stored pair
     /// (exact or pending) involves both `r` and `x`. Bounds the
     /// invalidation walk by the edited region's degree.
@@ -255,21 +270,66 @@ pub struct IncrementalEngine {
     faults: FaultTally,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct StoredPair {
     relation: CardinalRelation,
     percentages: Option<PercentageMatrix>,
 }
 
+/// One primary slot's exact pairs, shared between the engine and its
+/// snapshots until a writer touches it.
+type Row = Arc<PairRow>;
+
+/// A row's `(reference, value)` entries, sorted by reference slot. A
+/// sorted vector rather than a tree because the writer copies a row
+/// every time it edits a shared one: copying a vector of `Copy` entries
+/// is one allocation and one `memcpy`, freeing it one `free`, where a
+/// tree copies and frees node by node.
+#[derive(Debug, Clone, Default)]
+struct PairRow(Vec<(u32, StoredPair)>);
+
+impl PairRow {
+    fn find(&self, reference: u32) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&reference, |&(b, _)| b)
+    }
+
+    fn get(&self, reference: u32) -> Option<&StoredPair> {
+        self.find(reference).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Stores the value; `true` when `reference` was not yet present.
+    fn insert(&mut self, reference: u32, pair: StoredPair) -> bool {
+        match self.find(reference) {
+            Ok(i) => {
+                self.0[i].1 = pair;
+                false
+            }
+            Err(i) => {
+                self.0.insert(i, (reference, pair));
+                true
+            }
+        }
+    }
+
+    fn remove(&mut self, reference: u32) {
+        if let Ok(i) = self.find(reference) {
+            self.0.remove(i);
+        }
+    }
+}
+
 /// An immutable, cheaply-cloneable view of an [`IncrementalEngine`]'s
 /// relation state at one instant.
 ///
-/// The snapshot shares the slot table and pair maps behind [`Arc`]s, so
-/// cloning it is O(1) and every read method works without touching the
-/// engine — which is what lets a server hand out snapshots to concurrent
-/// reader threads while a single writer keeps applying edits to the
-/// engine and publishing fresh snapshots on commit. A snapshot never
-/// changes after creation: readers observe the exact state the writer
+/// The snapshot holds the same `Arc`'d regions, exact-pair rows and
+/// pending set as the engine that took it (see the module docs'
+/// *Structural sharing*): taking one copies only the slot and row
+/// pointer vectors, and cloning one is O(1). Every read method works
+/// without touching the engine — which is what lets a server hand out
+/// snapshots to concurrent reader threads while a single writer keeps
+/// applying edits and publishing fresh snapshots on commit. A snapshot
+/// never changes after creation: the writer copies any row it shares
+/// before mutating it, so readers observe the exact state the writer
 /// published, never a half-applied edit.
 ///
 /// All read paths (`relation`, `materialize`) are shared with the
@@ -279,9 +339,10 @@ struct StoredPair {
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     mode: EngineMode,
-    slots: Arc<[Option<Region>]>,
+    slots: Arc<[Option<Arc<Region>>]>,
     live: usize,
-    exact: Arc<BTreeMap<(u32, u32), StoredPair>>,
+    exact: Arc<[Row]>,
+    exact_len: usize,
     pending: Arc<BTreeSet<(u32, u32)>>,
     stats: IncrementalStats,
 }
@@ -298,26 +359,23 @@ impl EngineSnapshot {
     }
 
     /// The slot table, including removed (`None`) slots.
-    pub fn slots(&self) -> &[Option<Region>] {
+    pub fn slots(&self) -> &[Option<Arc<Region>>] {
         &self.slots
     }
 
     /// The region in `slot`, when live.
     pub fn region(&self, slot: u32) -> Option<&Region> {
-        self.slots.get(slot as usize).and_then(Option::as_ref)
+        region_in(&self.slots, slot)
     }
 
     /// Live `(slot, region)` entries in slot order.
     pub fn live_regions(&self) -> impl Iterator<Item = (u32, &Region)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|r| (id as u32, r)))
+        live_in(&self.slots)
     }
 
     /// Number of stored exact pairs at snapshot time.
     pub fn exact_count(&self) -> usize {
-        self.exact.len()
+        self.exact_len
     }
 
     /// Number of pairs awaiting repair at snapshot time.
@@ -344,12 +402,20 @@ impl EngineSnapshot {
     }
 }
 
+fn region_in(slots: &[Option<Arc<Region>>], slot: u32) -> Option<&Region> {
+    slots.get(slot as usize).and_then(Option::as_deref)
+}
+
+fn live_in(slots: &[Option<Arc<Region>>]) -> impl Iterator<Item = (u32, &Region)> {
+    slots.iter().enumerate().filter_map(|(id, slot)| slot.as_deref().map(|r| (id as u32, r)))
+}
+
 /// Shared read path: the relation `primary R reference` over a slot
-/// table and pair maps (stored exact value, else box-derived, else
+/// table and pair rows (stored exact value, else box-derived, else
 /// `None` for dead/equal/pending).
 fn relation_in(
-    slots: &[Option<Region>],
-    exact: &BTreeMap<(u32, u32), StoredPair>,
+    slots: &[Option<Arc<Region>>],
+    exact: &[Row],
     pending: &BTreeSet<(u32, u32)>,
     primary: u32,
     reference: u32,
@@ -357,11 +423,11 @@ fn relation_in(
     if primary == reference || pending.contains(&(primary, reference)) {
         return None;
     }
-    if let Some(sp) = exact.get(&(primary, reference)) {
+    if let Some(sp) = exact.get(primary as usize).and_then(|row| row.get(reference)) {
         return Some(sp.relation);
     }
-    let ma = slots.get(primary as usize).and_then(Option::as_ref).map(Region::mbb)?;
-    let mb = slots.get(reference as usize).and_then(Option::as_ref).map(Region::mbb)?;
+    let ma = region_in(slots, primary).map(Region::mbb)?;
+    let mb = region_in(slots, reference).map(Region::mbb)?;
     decided_tile(ma, mb).map(CardinalRelation::single)
 }
 
@@ -371,31 +437,25 @@ fn relation_in(
 /// pairs are pending repair.
 fn materialize_state(
     mode: EngineMode,
-    slots: &[Option<Region>],
-    exact: &BTreeMap<(u32, u32), StoredPair>,
+    slots: &[Option<Arc<Region>>],
+    exact: &[Row],
     pending: &BTreeSet<(u32, u32)>,
 ) -> Result<Vec<PairRelation>, IncrementalError> {
     if !pending.is_empty() {
         return Err(IncrementalError::PendingPairs(pending.len()));
     }
-    let mut ids: Vec<u32> = Vec::new();
-    let mut regions: Vec<&Region> = Vec::new();
-    for (id, slot) in slots.iter().enumerate() {
-        if let Some(region) = slot {
-            ids.push(id as u32);
-            regions.push(region);
-        }
-    }
+    let (ids, regions): (Vec<u32>, Vec<&Region>) = live_in(slots).unzip();
     let cache = RegionCache::build(regions);
     let mut tally = Tally::default();
     let n = ids.len();
     let mut out = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)));
     for (i, &a) in ids.iter().enumerate() {
+        let row = &exact[a as usize];
         for (j, &b) in ids.iter().enumerate() {
             if i == j {
                 continue;
             }
-            if let Some(sp) = exact.get(&(a, b)) {
+            if let Some(sp) = row.get(b) {
                 out.push(PairRelation {
                     primary: i,
                     reference: j,
@@ -427,19 +487,7 @@ impl IncrementalEngine {
         regions: Vec<Region>,
         policy: &RunPolicy,
     ) -> Self {
-        let mut engine = IncrementalEngine {
-            mode,
-            threads: threads.max(1),
-            slots: Vec::new(),
-            live: 0,
-            exact: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            partners: BTreeMap::new(),
-            rtree: RTree::new(),
-            stale: 0,
-            stats: IncrementalStats::default(),
-            faults: FaultTally::default(),
-        };
+        let mut engine = IncrementalEngine::empty(mode, threads);
         let outcome = {
             let cache = RegionCache::build(regions.iter());
             // The join partition needs the prefilter (that is what
@@ -449,27 +497,14 @@ impl IncrementalEngine {
             batch.run_join(&cache, policy)
         };
         engine.faults.merge(&outcome.metrics.faults);
-        for (id, region) in regions.into_iter().enumerate() {
-            let mbb = region.mbb();
-            engine.slots.push(Some(region));
-            engine.rtree.insert(mbb, id as u32);
-        }
-        engine.live = engine.slots.len();
+        engine.set_slots(regions.into_iter().map(Some).collect());
         for outcome in &outcome.interacting {
             let (i, j) = outcome.indices();
             let (a, b) = (i as u32, j as u32);
             match outcome.ok() {
-                Some(pr) => {
-                    engine.exact.insert(
-                        (a, b),
-                        StoredPair { relation: pr.relation, percentages: pr.percentages },
-                    );
-                }
-                None => {
-                    engine.pending.insert((a, b));
-                }
+                Some(pr) => engine.install(a, b, pr.relation, pr.percentages),
+                None => engine.park(a, b),
             }
-            engine.link(a, b);
         }
         engine
     }
@@ -485,25 +520,8 @@ impl IncrementalEngine {
         exact: Vec<InstalledPair>,
         pending: Vec<(u32, u32)>,
     ) -> Result<Self, IncrementalError> {
-        let mut engine = IncrementalEngine {
-            mode,
-            threads: threads.max(1),
-            slots,
-            live: 0,
-            exact: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            partners: BTreeMap::new(),
-            rtree: RTree::new(),
-            stale: 0,
-            stats: IncrementalStats::default(),
-            faults: FaultTally::default(),
-        };
-        for (id, slot) in engine.slots.iter().enumerate() {
-            if let Some(region) = slot {
-                engine.rtree.insert(region.mbb(), id as u32);
-                engine.live += 1;
-            }
-        }
+        let mut engine = IncrementalEngine::empty(mode, threads);
+        engine.set_slots(slots);
         let check = |engine: &IncrementalEngine, a: u32, b: u32| {
             let bad = IncrementalError::InconsistentState { primary: a, reference: b };
             let ma = engine.live_mbb(a).ok_or_else(|| bad.clone())?;
@@ -515,18 +533,44 @@ impl IncrementalEngine {
         };
         for entry in exact {
             check(&engine, entry.primary, entry.reference)?;
-            engine.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            engine.link(entry.primary, entry.reference);
+            engine.install(entry.primary, entry.reference, entry.relation, entry.percentages);
         }
         for (a, b) in pending {
             check(&engine, a, b)?;
-            engine.pending.insert((a, b));
-            engine.link(a, b);
+            engine.park(a, b);
         }
         Ok(engine)
+    }
+
+    fn empty(mode: EngineMode, threads: usize) -> Self {
+        IncrementalEngine {
+            mode,
+            threads: threads.max(1),
+            slots: Vec::new(),
+            live: 0,
+            exact: Vec::new(),
+            exact_len: 0,
+            pending: Arc::default(),
+            partners: BTreeMap::new(),
+            rtree: RTree::new(),
+            stale: 0,
+            stats: IncrementalStats::default(),
+            faults: FaultTally::default(),
+        }
+    }
+
+    /// Fills an empty engine's slot table, R-tree and (empty) rows.
+    fn set_slots(&mut self, slots: Vec<Option<Region>>) {
+        for (id, region) in slots.into_iter().enumerate() {
+            if let Some(region) = &region {
+                self.rtree.insert(region.mbb(), id as u32);
+                self.live += 1;
+            }
+            self.slots.push(region.map(Arc::new));
+        }
+        // One shared empty row; the first install into a slot's row
+        // gives it a row of its own.
+        self.exact = vec![Row::default(); self.slots.len()];
     }
 
     fn batch_engine(&self) -> BatchEngine {
@@ -556,34 +600,32 @@ impl IncrementalEngine {
     }
 
     /// The slot table, including removed (`None`) slots.
-    pub fn slots(&self) -> &[Option<Region>] {
+    pub fn slots(&self) -> &[Option<Arc<Region>>] {
         &self.slots
     }
 
     /// The region in `slot`, when live.
     pub fn region(&self, slot: u32) -> Option<&Region> {
-        self.slots.get(slot as usize).and_then(Option::as_ref)
+        region_in(&self.slots, slot)
     }
 
     /// Live `(slot, region)` entries in slot order.
     pub fn live_regions(&self) -> impl Iterator<Item = (u32, &Region)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|r| (id as u32, r)))
+        live_in(&self.slots)
     }
 
     /// Stored exact pairs in key order (journal snapshot source).
     pub fn exact_entries(&self) -> Vec<InstalledPair> {
-        self.exact
-            .iter()
-            .map(|(&(a, b), sp)| InstalledPair {
-                primary: a,
+        let mut out = Vec::with_capacity(self.exact_len);
+        for (a, row) in self.exact.iter().enumerate() {
+            out.extend(row.0.iter().map(|&(b, sp)| InstalledPair {
+                primary: a as u32,
                 reference: b,
                 relation: sp.relation,
                 percentages: sp.percentages,
-            })
-            .collect()
+            }));
+        }
+        out
     }
 
     /// Pairs awaiting repair, in key order.
@@ -593,7 +635,7 @@ impl IncrementalEngine {
 
     /// Number of stored exact pairs.
     pub fn exact_count(&self) -> usize {
-        self.exact.len()
+        self.exact_len
     }
 
     /// Number of pairs awaiting repair.
@@ -618,15 +660,18 @@ impl IncrementalEngine {
     }
 
     /// Takes an immutable snapshot of the current relation state. The
-    /// snapshot is detached: later edits to the engine do not affect it,
-    /// and cloning it is O(1) — see [`EngineSnapshot`].
+    /// snapshot is detached: later edits to the engine do not affect it.
+    /// Taking it copies one pointer per slot and per row and shares
+    /// everything they point to; cloning it is O(1) — see
+    /// [`EngineSnapshot`].
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             mode: self.mode,
-            slots: self.slots.clone().into(),
+            slots: self.slots.as_slice().into(),
             live: self.live,
-            exact: Arc::new(self.exact.clone()),
-            pending: Arc::new(self.pending.clone()),
+            exact: self.exact.as_slice().into(),
+            exact_len: self.exact_len,
+            pending: Arc::clone(&self.pending),
             stats: self.stats,
         }
     }
@@ -657,7 +702,7 @@ impl IncrementalEngine {
             EditKind::Replace => self.live - 1,
         };
         let invalidated = 2 * neighbours;
-        let reused = self.exact.len();
+        let reused = self.exact_len;
 
         let (installed, pending_added, status) = if kind == EditKind::Remove {
             (Vec::new(), Vec::new(), CompletionStatus::Complete)
@@ -710,17 +755,12 @@ impl IncrementalEngine {
         let neighbours = if kind == EditKind::Remove { self.live } else { self.live - 1 };
         self.stats.edits_applied += 1;
         self.stats.pairs_invalidated += (2 * neighbours) as u64;
-        self.stats.pairs_reused += self.exact.len() as u64;
+        self.stats.pairs_reused += self.exact_len as u64;
         for entry in installed {
-            self.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            self.link(entry.primary, entry.reference);
+            self.install(entry.primary, entry.reference, entry.relation, entry.percentages);
         }
         for (a, b) in pending_added {
-            self.pending.insert((a, b));
-            self.link(a, b);
+            self.park(a, b);
         }
         Ok(())
     }
@@ -729,12 +769,7 @@ impl IncrementalEngine {
     /// to exact verbatim.
     pub fn replay_repair(&mut self, installed: Vec<InstalledPair>) {
         for entry in installed {
-            self.pending.remove(&(entry.primary, entry.reference));
-            self.exact.insert(
-                (entry.primary, entry.reference),
-                StoredPair { relation: entry.relation, percentages: entry.percentages },
-            );
-            self.link(entry.primary, entry.reference);
+            self.install(entry.primary, entry.reference, entry.relation, entry.percentages);
         }
     }
 
@@ -782,7 +817,7 @@ impl IncrementalEngine {
             ("incremental.repairs", s.repairs),
             ("incremental.rtree_rebuilds", s.rtree_rebuilds),
             ("incremental.live_regions", self.live as u64),
-            ("incremental.exact_stored", self.exact.len() as u64),
+            ("incremental.exact_stored", self.exact_len as u64),
             ("incremental.pending_pairs", self.pending.len() as u64),
         ] {
             registry.counter(name).add(value);
@@ -812,15 +847,25 @@ impl IncrementalEngine {
     }
 
     /// Drops every stored pair involving `id`; returns how many exact
-    /// entries were discarded.
+    /// entries were discarded. Copies (if shared) only the rows of
+    /// `id`'s partners that hold a pair with `id`; `id`'s own row is
+    /// replaced by an empty one, not copied.
     fn invalidate(&mut self, id: u32) -> usize {
         let neighbours = self.partners.remove(&id).unwrap_or_default();
-        let mut dropped = 0;
+        // Every entry in `id`'s row is a pair `(id, x)` with `x` a
+        // partner. (An insert's slot has no row yet.)
+        let mut dropped =
+            self.exact.get_mut(id as usize).map_or(0, |row| std::mem::take(row).0.len());
         for x in neighbours {
-            dropped += usize::from(self.exact.remove(&(id, x)).is_some());
-            dropped += usize::from(self.exact.remove(&(x, id)).is_some());
-            self.pending.remove(&(id, x));
-            self.pending.remove(&(x, id));
+            if self.exact[x as usize].get(id).is_some() {
+                Arc::make_mut(&mut self.exact[x as usize]).remove(id);
+                dropped += 1;
+            }
+            if self.pending.contains(&(id, x)) || self.pending.contains(&(x, id)) {
+                let pending = Arc::make_mut(&mut self.pending);
+                pending.remove(&(id, x));
+                pending.remove(&(x, id));
+            }
             if let Some(set) = self.partners.get_mut(&x) {
                 set.remove(&id);
                 if set.is_empty() {
@@ -828,6 +873,7 @@ impl IncrementalEngine {
                 }
             }
         }
+        self.exact_len -= dropped;
         dropped
     }
 
@@ -836,7 +882,8 @@ impl IncrementalEngine {
             EditKind::Insert => {
                 let region = region.expect("insert carries geometry");
                 let mbb = region.mbb();
-                self.slots.push(Some(region));
+                self.slots.push(Some(Arc::new(region)));
+                self.exact.push(Row::default());
                 self.live += 1;
                 self.rtree.insert(mbb, id);
             }
@@ -848,7 +895,7 @@ impl IncrementalEngine {
             EditKind::Replace => {
                 let region = region.expect("replace carries geometry");
                 let mbb = region.mbb();
-                self.slots[id as usize] = Some(region);
+                self.slots[id as usize] = Some(Arc::new(region));
                 self.rtree.insert(mbb, id);
                 self.stale += 1;
             }
@@ -945,13 +992,7 @@ impl IncrementalEngine {
         for (outcome, &(a, b)) in outcome.pairs.iter().zip(pairs) {
             match outcome.ok() {
                 Some(pr) => {
-                    // A repair pass recomputes pairs that sit in the
-                    // pending set; success graduates them out of it.
-                    self.pending.remove(&(a, b));
-                    self.exact.insert(
-                        (a, b),
-                        StoredPair { relation: pr.relation, percentages: pr.percentages },
-                    );
+                    self.install(a, b, pr.relation, pr.percentages);
                     installed.push(InstalledPair {
                         primary: a,
                         reference: b,
@@ -960,13 +1001,38 @@ impl IncrementalEngine {
                     });
                 }
                 None => {
-                    self.pending.insert((a, b));
+                    self.park(a, b);
                     pending_added.push((a, b));
                 }
             }
-            self.link(a, b);
         }
         (installed, pending_added, status)
+    }
+
+    /// Stores `(a, b)`'s exact value, copying `a`'s row first if a
+    /// snapshot shares it. A pair that sat in the pending set (a repair
+    /// pass recomputes those) graduates out of it.
+    fn install(
+        &mut self,
+        a: u32,
+        b: u32,
+        relation: CardinalRelation,
+        percentages: Option<PercentageMatrix>,
+    ) {
+        if self.pending.contains(&(a, b)) {
+            Arc::make_mut(&mut self.pending).remove(&(a, b));
+        }
+        let row = Arc::make_mut(&mut self.exact[a as usize]);
+        if row.insert(b, StoredPair { relation, percentages }) {
+            self.exact_len += 1;
+        }
+        self.link(a, b);
+    }
+
+    /// Parks `(a, b)` in the pending set until a repair recomputes it.
+    fn park(&mut self, a: u32, b: u32) {
+        Arc::make_mut(&mut self.pending).insert((a, b));
+        self.link(a, b);
     }
 
     fn link(&mut self, a: u32, b: u32) {
@@ -1146,7 +1212,7 @@ mod tests {
         let mut twin = IncrementalEngine::from_parts(
             EngineMode::Quantitative,
             1,
-            engine.slots().to_vec(),
+            engine.slots().iter().map(|slot| slot.as_deref().cloned()).collect(),
             engine.exact_entries(),
             engine.pending_pairs(),
         )
@@ -1232,6 +1298,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn consecutive_snapshots_share_all_but_the_edited_slot_and_its_partners() {
+        let mut engine = IncrementalEngine::bootstrap(
+            EngineMode::Qualitative,
+            1,
+            map(71, 1000),
+            &RunPolicy::default(),
+        );
+        let id = 500;
+        let before = engine.snapshot();
+        let mut touched = engine.partners.get(&id).cloned().unwrap_or_default();
+        // An in-cell move: a small nudge that keeps the region in its
+        // grid cell.
+        let moved = engine.region(id).expect("live").translated(0.25, -0.25);
+        engine.apply(Edit::Replace(id, moved)).expect("applies");
+        let after = engine.snapshot();
+        touched.extend(engine.partners.get(&id).into_iter().flatten());
+        touched.insert(id);
+        assert!(touched.len() > 1, "the edited slot has partners");
+        let mut shared_rows = 0;
+        for slot in 0..1000u32 {
+            let i = slot as usize;
+            let (old, new) = (before.slots[i].as_ref(), after.slots[i].as_ref());
+            let region_shared = Arc::ptr_eq(old.expect("live"), new.expect("live"));
+            assert_eq!(region_shared, slot != id, "region of slot {slot}");
+            if !touched.contains(&slot) {
+                assert!(Arc::ptr_eq(&before.exact[i], &after.exact[i]), "row of slot {slot}");
+                shared_rows += 1;
+            }
+        }
+        assert_eq!(shared_rows, 1000 - touched.len());
+        assert!(Arc::ptr_eq(&before.pending, &after.pending));
     }
 
     #[test]

@@ -295,11 +295,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Failpoints are process-global: the edits block arms them, and
+    /// they fire inside any concurrent test's pair computations, which
+    /// then report the injected failures as divergences. Every test that
+    /// runs the pipeline holds this lock.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// The CI smoke contract in miniature: a block of seeded iterations
     /// must produce no divergences and no panics.
     #[test]
     fn seeded_block_is_divergence_free() {
+        let _guard = serial();
         let report = run(1, 60);
         assert_eq!(report.iterations, 60);
         assert!(
@@ -323,6 +335,7 @@ mod tests {
     /// baseline, and the area matrix all said plain `SW`.
     #[test]
     fn seed_57_microscale_needle_center_containment() {
+        let _guard = serial();
         let divergences = run_seed(57);
         assert!(
             divergences.is_empty(),
@@ -341,6 +354,7 @@ mod tests {
     /// on clustered, grid-anchored, extreme-magnitude geometry.
     #[test]
     fn join_block_is_divergence_free() {
+        let _guard = serial();
         let report = run_join(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -357,6 +371,7 @@ mod tests {
 
     #[test]
     fn ulp_block_is_divergence_free() {
+        let _guard = serial();
         let report = run_ulp(1, 40);
         assert_eq!(report.iterations, 40);
         assert!(
@@ -396,6 +411,7 @@ mod tests {
     /// be divergence-free.
     #[test]
     fn edits_block_is_divergence_free() {
+        let _guard = serial();
         let report = run_edits(1, 10);
         assert_eq!(report.iterations, 10);
         assert!(

@@ -174,7 +174,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing whitespace is allowed,
 /// trailing content is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -185,6 +185,9 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is its byte view. `pos` only ever stops on
+    /// ASCII structure, so it always lies on a char boundary of `src`.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -327,12 +330,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
+                    // Copy the unescaped run up to the next quote or
+                    // backslash in one go. Both are ASCII, so the run
+                    // ends on a char boundary and needs no re-validation.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    out.push_str(&self.src[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -453,6 +458,27 @@ mod tests {
         let v = parse(" { \"a\" : [ 1 , 2.5 , null ] , \"b\" : true } \n").unwrap();
         assert_eq!(v.get("a").unwrap(), &Json::Arr(vec![Json::U64(1), Json::F64(2.5), Json::Null]));
         assert_eq!(v.get("b"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn multi_mebibyte_strings_parse_in_linear_time() {
+        // A request-body-sized document full of multibyte text and
+        // escapes. Re-validating the remaining input for every string
+        // character made parsing quadratic in the document size; the
+        // time bound is far above a linear parse and far below that.
+        let chunk = "héllo \"wörld\" \\ ✓ 𝄞\n\t\u{1}";
+        let text = chunk.repeat(150_000);
+        let v = Json::obj([
+            ("body", Json::Str(text.clone())),
+            ("parts", Json::Arr(vec![Json::Str(chunk.into()); 20_000])),
+        ]);
+        let encoded = v.to_string();
+        assert!(encoded.len() > 4 << 20, "{} bytes", encoded.len());
+        let started = std::time::Instant::now();
+        let back = parse(&encoded).expect("writer output must parse");
+        assert_eq!(back, v);
+        assert_eq!(back.get("body").and_then(Json::as_str), Some(text.as_str()));
+        assert!(started.elapsed().as_secs() < 10, "parse took {:?}", started.elapsed());
     }
 
     #[test]

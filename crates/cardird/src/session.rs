@@ -7,8 +7,13 @@
 //!
 //! * **Writers** (apply / repair / save) serialise on one `Mutex`
 //!   around the [`RelationStore`]. After every successful mutation the
-//!   writer builds an [`EngineSnapshot`] — `Arc`-shared immutable
-//!   state — and swaps it into the session as the new *current epoch*.
+//!   writer takes an [`EngineSnapshot`] and swaps it into the session as
+//!   the new *current epoch*. Publication is O(edit), not O(map): the
+//!   snapshot shares every region and exact-pair row the edit did not
+//!   touch with the previous epoch (copying one pointer per slot), and
+//!   the writer keeps annotations as per-slot `Arc<RegionMeta>` so the
+//!   new epoch shares those too. The replaced epoch is dropped after
+//!   the write lock is released, so readers never wait on its freeing.
 //! * **Readers** (relation lookups, materialize, queries) take a brief
 //!   read lock only to clone the current `Arc<SessionSnapshot>`, then
 //!   compute entirely on that immutable snapshot. A reader never holds
@@ -41,8 +46,9 @@ pub struct SessionSnapshot {
     pub epoch: u64,
     /// The engine state at this epoch.
     pub engine: EngineSnapshot,
-    /// Slot-indexed annotations (ids, colours) at this epoch.
-    pub meta: Arc<Vec<Option<RegionMeta>>>,
+    /// Slot-indexed annotations (ids, colours) at this epoch, shared
+    /// with the writer and with other epochs.
+    pub meta: Vec<Option<Arc<RegionMeta>>>,
     /// Lazily built query configuration (see [`Self::configuration`]).
     config: OnceLock<Result<Configuration, String>>,
 }
@@ -50,7 +56,7 @@ pub struct SessionSnapshot {
 impl SessionSnapshot {
     /// The annotation id for `slot` (default `r<slot>`).
     pub fn region_id(&self, slot: u32) -> String {
-        match self.meta.get(slot as usize).and_then(Option::as_ref) {
+        match self.meta.get(slot as usize).and_then(Option::as_deref) {
             Some(meta) => meta.id_for(slot),
             None => format!("r{slot}"),
         }
@@ -74,7 +80,7 @@ impl SessionSnapshot {
         let mut config = Configuration::new("session", "session.img");
         let mut id_of = BTreeMap::new();
         for (slot, region) in self.engine.live_regions() {
-            let meta = self.meta.get(slot as usize).and_then(Option::as_ref);
+            let meta = self.meta.get(slot as usize).and_then(Option::as_deref);
             let id = meta.map(|m| m.id_for(slot)).unwrap_or_else(|| format!("r{slot}"));
             let color = meta.and_then(|m| m.color.clone()).unwrap_or_default();
             config
@@ -126,7 +132,7 @@ pub struct SessionSummary {
 
 struct WriterState {
     store: RelationStore,
-    meta: Vec<Option<RegionMeta>>,
+    meta: Vec<Option<Arc<RegionMeta>>>,
     epoch: u64,
 }
 
@@ -146,7 +152,7 @@ impl Session {
         let snapshot = Arc::new(SessionSnapshot {
             epoch: state.epoch,
             engine: state.store.engine().snapshot(),
-            meta: Arc::new(state.meta.clone()),
+            meta: state.meta.clone(),
             config: OnceLock::new(),
         });
         Session { name: name.to_string(), writer: Mutex::new(state), current: RwLock::new(snapshot) }
@@ -182,13 +188,13 @@ impl Session {
         }
         match delta.kind {
             cardir_engine::EditKind::Remove => w.meta[slot] = None,
-            cardir_engine::EditKind::Insert => w.meta[slot] = Some(meta),
+            cardir_engine::EditKind::Insert => w.meta[slot] = Some(Arc::new(meta)),
             cardir_engine::EditKind::Replace => {
                 let existing = w.meta[slot].take().unwrap_or_default();
-                w.meta[slot] = Some(RegionMeta {
-                    id: meta.id.or(existing.id),
-                    color: meta.color.or(existing.color),
-                });
+                w.meta[slot] = Some(Arc::new(RegionMeta {
+                    id: meta.id.or_else(|| existing.id.clone()),
+                    color: meta.color.or_else(|| existing.color.clone()),
+                }));
             }
         }
         self.publish(&mut w);
@@ -235,10 +241,17 @@ impl Session {
         let snapshot = Arc::new(SessionSnapshot {
             epoch: w.epoch,
             engine: w.store.engine().snapshot(),
-            meta: Arc::new(w.meta.clone()),
+            meta: w.meta.clone(),
             config: OnceLock::new(),
         });
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
+        let previous = {
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, snapshot)
+        };
+        // Dropped after the write lock is released: if this was the last
+        // reference to the old epoch, freeing it (and any configuration
+        // built for it) does not hold up readers' `snapshot()` calls.
+        drop(previous);
     }
 }
 

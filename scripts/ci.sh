@@ -92,20 +92,26 @@ cargo test -q --offline --test fault_injection
 cargo run --offline -p cardir-fuzz -- --family edits --iters 150 --seed 1
 
 # Incremental-engine gate: the edit bench at N=1000 must emit the
-# invalidation and replay counters the delta-maintenance claims rest on,
-# and edit throughput must stay within 3x of the committed baseline.
-# edits_per_sec is higher-is-better, so it gates WITHOUT :lower — the
-# previous :lower suffix inverted the ratio (base/new), which passed
-# regressions and failed improvements.
+# invalidation, replay and publication series the delta-maintenance
+# claims rest on, and edit throughput and publication cost must stay
+# within 3x of the committed baseline. edits_per_sec is
+# higher-is-better, so it gates WITHOUT :lower — the previous :lower
+# suffix inverted the ratio (base/new), which passed regressions and
+# failed improvements. snapshot_publish_ns (median engine snapshot()
+# right after an edit) is lower-is-better and gates WITH :lower; a
+# return to deep-copying snapshots costs orders of magnitude, not 3x.
 incr_json="$(mktemp /tmp/incr.XXXXXX.json)"
 trap 'rm -f "$bench_json" "$bench_trace" "$join_json" "$incr_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin incremental_throughput -- 1000 \
     --json "$incr_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$incr_json" \
     --require incremental.pairs_invalidated --require incremental.replay \
-    --require incremental.speedup_vs_full
+    --require incremental.speedup_vs_full --require incremental.snapshot_publish_ns
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_incremental.json "$incr_json" \
     --key incremental=regions --metric incremental.edits_per_sec \
+    --filter regions=1000 --threshold 3
+cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_incremental.json "$incr_json" \
+    --key incremental=regions --metric incremental.snapshot_publish_ns:lower \
     --filter regions=1000 --threshold 3
 
 # Server smoke + gate (DESIGN.md §14): boot the cardird binary on an

@@ -7,14 +7,15 @@
 //! test binary, so no other suite can race it.
 
 use cardir::engine::{
-    BatchEngine, CompletionStatus, Edit, EngineMode, IncrementalEngine, IncrementalError,
-    PairRelation, RegionCache, RunPolicy,
+    BatchEngine, CompletionStatus, Edit, EngineMode, EngineSnapshot, IncrementalEngine,
+    IncrementalError, PairRelation, RegionCache, RunPolicy,
 };
 use cardir::faults::{self, sites, FaultAction, Trigger};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::telemetry::Registry;
 use cardir::workloads::{random_map, SplitMix64};
 use std::sync::Mutex;
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -260,4 +261,83 @@ fn incremental_and_fault_site_counters_share_a_registry() {
     // The injected fault fired at least once somewhere in the script;
     // its per-site counter reports under the same registry.
     assert!(snap.counter("faults.site.engine.pair.compute").unwrap_or(0) >= 1);
+}
+
+/// A published snapshot equals a fresh bootstrap over its own live
+/// regions, bit for bit.
+fn assert_matches_bootstrap(snapshot: &EngineSnapshot, context: &str) {
+    let regions: Vec<Region> = snapshot.live_regions().map(|(_, r)| r.clone()).collect();
+    let fresh = IncrementalEngine::bootstrap(snapshot.mode(), 1, regions, &RunPolicy::default());
+    assert_eq!(
+        snapshot.materialize().expect("published snapshot has no pending pairs"),
+        fresh.materialize().expect("clean bootstrap"),
+        "{context}"
+    );
+}
+
+/// Snapshots share regions, pair rows and the pending set with the
+/// engine, so a writer that failed to copy before mutating would leak
+/// its edits into published epochs. A snapshot held from the start must
+/// materialize bit-identically across a 200-step seeded script of
+/// inserts, replaces, removes and zero-deadline edits (whose parked
+/// pairs a repair then clears), and every newly published snapshot must
+/// equal a bootstrap over its own live regions.
+#[test]
+fn held_snapshot_is_stable_while_published_snapshots_track_bootstrap() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
+    let mut engine = IncrementalEngine::bootstrap(
+        EngineMode::Quantitative,
+        1,
+        map(641, 30),
+        &RunPolicy::default(),
+    );
+    let held = engine.snapshot();
+    let held_pairs = held.materialize().expect("clean bootstrap");
+    let zero_deadline = RunPolicy::default().with_deadline(Duration::ZERO);
+    let mut rng = SplitMix64::seed_from_u64(642);
+    let mut parked_total = 0;
+    // The previous epoch stays alive too, as a server's readers keep it,
+    // and must not move either.
+    let (mut previous, mut previous_pairs) = (held.clone(), held_pairs.clone());
+    for (step, replacement) in map(643, 200).into_iter().enumerate() {
+        let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
+        let victim = live[rng.random_range(0..live.len() as u64) as usize];
+        let context = format!("step {step}");
+        match step % 5 {
+            0 | 1 => {
+                engine.apply(Edit::Replace(victim, replacement)).expect("replace applies");
+            }
+            2 => {
+                engine.apply(Edit::Insert(replacement)).expect("insert applies");
+            }
+            3 => {
+                engine.apply(Edit::Remove(victim)).expect("remove applies");
+            }
+            _ => {
+                let delta = engine
+                    .apply_with(Edit::Replace(victim, replacement), &zero_deadline)
+                    .expect("zero-deadline replace lands");
+                let parked = engine.snapshot();
+                assert_eq!(parked.pending_count(), delta.pending_added.len(), "{context}");
+                parked_total += delta.pending_added.len();
+                let repaired = engine.repair();
+                assert_eq!(repaired.still_pending, 0, "{context}");
+                // The repair graduated the pairs in the engine, not in
+                // the snapshot published before it.
+                assert_eq!(parked.pending_count(), delta.pending_added.len(), "{context}");
+                if !delta.pending_added.is_empty() {
+                    assert!(parked.materialize().is_err(), "{context}");
+                }
+            }
+        }
+        assert_eq!(previous.materialize().expect("previous epoch"), previous_pairs, "{context}");
+        assert_eq!(held.materialize().expect("held snapshot"), held_pairs, "{context}");
+        let published = engine.snapshot();
+        assert_matches_bootstrap(&published, &context);
+        previous_pairs = published.materialize().expect("checked above");
+        previous = published;
+    }
+    assert!(parked_total > 0, "no zero-deadline edit ever parked a pair");
+    assert_eq!(held.live_count(), 30);
 }

@@ -10,8 +10,11 @@
 //! governs the exact subset only — mask-emitted pairs are proven by the
 //! boxes, cost `O(1)`, and are never work items.
 //!
-//! Failpoint-arming tests hold `SERIAL` (failpoints are process-global);
-//! this file is its own test binary, so no other suite can race it.
+//! Every test that runs the exact pipeline holds `SERIAL`: failpoints
+//! are process-global, so a failpoint one test arms fires inside any
+//! concurrent test's pair computations, and those computations consume
+//! the arming test's `Nth` triggers. This file is its own test binary,
+//! so no other suite can race it.
 
 use cardir::core::{compute_cdr, compute_cdr_pct, CardinalRelation};
 use cardir::engine::{
@@ -130,6 +133,7 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
 /// the full join differential.
 #[test]
 fn adversarial_families_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut seen = std::collections::BTreeMap::new();
     let mut seed = 0u64;
     while seen.len() < 7 {
@@ -148,6 +152,7 @@ fn adversarial_families_cross_validate() {
 /// differential on a block of seeds.
 #[test]
 fn join_cluster_scenarios_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for seed in 0..8u64 {
         let scenario = cardir_fuzz::gen::generate_join(seed);
         assert_join_cross_validates(&scenario.regions, &format!("join-clusters seed {seed}"));
@@ -158,6 +163,7 @@ fn join_cluster_scenarios_cross_validate() {
 /// miniature) pass the full differential.
 #[test]
 fn random_maps_cross_validate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = SplitMix64::seed_from_u64(71);
     for n in [6usize, 25] {
         let extent = BoundingBox::new(Point::new(0.0, 0.0), Point::new(500.0, 400.0));
@@ -175,6 +181,7 @@ fn random_maps_cross_validate() {
 /// pair, then cross-validated end to end.
 #[test]
 fn boundary_contact_pairs_stay_exact() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let regions = vec![
         rect(0.0, 0.0, 4.0, 4.0),       // 0: the reference square
         rect(4.0, 0.0, 8.0, 4.0),       // 1: shares the full east edge
