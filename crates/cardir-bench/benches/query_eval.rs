@@ -46,7 +46,7 @@ fn main() {
 
     println!("== query_eval/compute_all_relations ==");
     for n in [32usize, 128] {
-        bench_case(&format!("compute_all/{n}"), (n * (n - 1)) as u64, || {
+        bench_case(&format!("compute_all_relations/{n}"), (n * (n - 1)) as u64, || {
             let mut config = build_config(n, false);
             config.compute_all_relations();
             black_box(&config);

@@ -1,10 +1,12 @@
 //! Batch-engine throughput: pairs/sec over a 1 000-region map at 1, 2,
-//! 4, and 8 worker threads, plus the MBB prefilter hit-rate.
+//! 4, and 8 worker threads, plus the share of pairs the boxes decide.
 //!
-//! The map is the standard jittered-grid star-region workload, so most
-//! boxes are disjoint and the prefilter decides the bulk of the ~10⁶
-//! ordered pairs; the exact passes measure how well the remaining edge
-//! work scales with threads.
+//! Each cell times the whole-map path, `run_join(..).materialize(..)`,
+//! which outputs every one of the ~10⁶ ordered pairs. The map is the
+//! standard jittered-grid star-region workload, so most boxes are
+//! disjoint and the join emits the bulk of the pairs from the boxes; the
+//! exact passes measure how well the remaining edge work scales with
+//! threads.
 //!
 //! Usage: `engine_throughput [N] [--json PATH] [--trace PATH]
 //! [--threads T] [--mode qualitative|quantitative] [--warmup W]
@@ -32,12 +34,16 @@
 //! every cell is measured warm.
 
 use cardir_bench::SEED;
-use cardir_engine::{BatchEngine, EngineMetrics, EngineMode, RegionCache};
+use cardir_engine::{BatchEngine, BatchOutcome, EngineMode, RegionCache, RunPolicy};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_telemetry::{ChromeTrace, Json, JsonLines, Registry, Tracer};
 use cardir_workloads::{random_map, SplitMix64};
 use std::hint::black_box;
 use std::time::Instant;
+
+fn ns(d: std::time::Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
 
 const USAGE: &str = "usage: engine_throughput [N] [--json PATH] [--trace PATH] [--threads T] [--mode qualitative|quantitative] [--warmup W] [--repeat R]";
 
@@ -119,7 +125,7 @@ fn main() {
         chrome.add_process("cache_build", &build_tracer);
     }
     println!(
-        "map: {} regions, {} edges total; cache+R-tree build {:.2?}",
+        "map: {} regions, {} edges total; cache build {:.2?}",
         cache.len(),
         cache.total_edges(),
         build
@@ -136,7 +142,7 @@ fn main() {
             Json::obj([
                 ("regions", Json::from(cache.len())),
                 ("edges", Json::from(cache.total_edges())),
-                ("cache_build_ns", Json::from(build.as_nanos().min(u64::MAX as u128) as u64)),
+                ("cache_build_ns", Json::from(ns(build))),
                 ("seed", Json::from(SEED)),
             ]),
         )
@@ -144,7 +150,11 @@ fn main() {
         sink
     });
 
-    let mut last_metrics = EngineMetrics::default();
+    // Materializes every ordered pair: the output the cells time.
+    let run = |engine: &BatchEngine| -> BatchOutcome {
+        engine.run_join(&cache, &RunPolicy::default()).materialize(&cache)
+    };
+    let mut last = None;
     for &mode in &modes {
         println!("\n== {mode:?} ==");
         // Untimed warm-up: touch the whole output allocation and any
@@ -153,7 +163,7 @@ fn main() {
         // pays every one-time cost.
         for _ in 0..warmup {
             let engine = BatchEngine::new().with_mode(mode).with_threads(1);
-            black_box(engine.compute_all(&cache));
+            black_box(run(&engine));
         }
         let mut baseline = None;
         for &threads in &thread_counts {
@@ -169,7 +179,7 @@ fn main() {
                     .with_threads(threads)
                     .with_tracer(tracer.clone());
                 let start = Instant::now();
-                let result = black_box(engine.compute_all(&cache));
+                let result = black_box(run(&engine));
                 let elapsed = start.elapsed();
                 if best.as_ref().is_none_or(|(b, _, _)| elapsed < *b) {
                     best = Some((elapsed, result, tracer));
@@ -189,7 +199,7 @@ fn main() {
                 Some(b) => b.as_secs_f64() / elapsed.as_secs_f64(),
             };
             println!(
-                "threads {threads}: {:>10.0} pairs/sec   ({} pairs in {:.2?}, speedup {speedup:.2}x, prefilter hit-rate {:.1}%)",
+                "threads {threads}: {:>10.0} pairs/sec   ({} pairs in {:.2?}, speedup {speedup:.2}x, box-decided {:.1}%)",
                 pairs_per_sec,
                 result.stats.pairs,
                 elapsed,
@@ -203,7 +213,7 @@ fn main() {
                         ("mode", Json::from(format!("{mode:?}").to_lowercase().as_str())),
                         ("threads", Json::from(threads)),
                         ("pairs", Json::from(result.stats.pairs)),
-                        ("elapsed_ns", Json::from(elapsed.as_nanos().min(u64::MAX as u128) as u64)),
+                        ("elapsed_ns", Json::from(ns(elapsed))),
                         ("pairs_per_sec", Json::from(pairs_per_sec)),
                         ("speedup_vs_1", Json::from(speedup)),
                         ("hit_rate", Json::from(result.stats.hit_rate())),
@@ -211,15 +221,9 @@ fn main() {
                         ("exact_pairs", Json::from(result.stats.exact_pairs)),
                         ("edges_scanned", Json::from(result.stats.edges_scanned)),
                         ("fused_pairs", Json::from(result.stats.fused_pairs)),
-                        ("rtree_candidates", Json::from(result.stats.rtree_candidates)),
-                        (
-                            "mask_build_ns",
-                            Json::from(m.mask_build.as_nanos().min(u64::MAX as u128) as u64),
-                        ),
-                        (
-                            "exact_pass_ns",
-                            Json::from(m.exact_pass.as_nanos().min(u64::MAX as u128) as u64),
-                        ),
+                        ("discover_ns", Json::from(ns(m.discover))),
+                        ("exact_pass_ns", Json::from(ns(m.exact_pass))),
+                        ("assemble_ns", Json::from(ns(m.assemble))),
                         ("worker_balance", Json::from(m.worker_balance())),
                         // The raw distribution worker_balance summarises:
                         // mean/max collides across thread counts when the
@@ -236,7 +240,7 @@ fn main() {
                 )
                 .expect("write JSON line");
             }
-            last_metrics = result.metrics.clone();
+            last = Some((result.stats, result.metrics));
         }
     }
 
@@ -244,7 +248,9 @@ fn main() {
     // read back through the same registry export path production uses
     // (EngineMetrics::export → geometry.* counters).
     let registry = Registry::new();
-    last_metrics.export(&registry);
+    if let Some((stats, metrics)) = &last {
+        metrics.export(stats, &registry);
+    }
     let snap = registry.snapshot();
     let orient_calls = snap.counter("geometry.orient2d_calls").unwrap_or(0);
     let exact_fallback = snap.counter("geometry.exact_fallback").unwrap_or(0);

@@ -10,19 +10,19 @@
 //! are counted, not materialised — which is what lets N = 100 000
 //! (≈ 10¹⁰ ordered pairs) complete at all.
 //!
-//! For N up to `--compare-max` (default 10 000) the all-pairs engine runs
-//! on the same map as the baseline, so the emitted record carries the
-//! measured speedup of sweep-partitioning over pair enumeration.
+//! Each record splits the wall time into its phases: `discover_ns` (the
+//! sweeps), `exact_pass_ns` (the threaded exact pass) and `assemble_ns`
+//! (reordering the finished chunks).
 //!
-//! Usage: `join_throughput [N ...] [--json PATH] [--compare-max M]
-//! [--trace PATH]`. Default sweep: N ∈ {1000, 10000, 100000}. `--json`
-//! writes one JSON-lines record per N with `"type": "join"` (the
-//! `join.*` telemetry fields CI gates on via `json_check --require`).
-//! `--trace` records each N's execution timeline (sweep discovery plus
-//! the exact pass's per-worker tracks) in Chrome `trace_event` format.
+//! Usage: `join_throughput [N ...] [--json PATH] [--trace PATH]`.
+//! Default sweep: N ∈ {1000, 10000, 100000}. `--json` writes one
+//! JSON-lines record per N with `"type": "join"` (the `join.*` telemetry
+//! fields CI gates on via `json_check --require`). `--trace` records each
+//! N's execution timeline (sweep discovery, the exact pass's per-worker
+//! tracks and the assembly) in Chrome `trace_event` format.
 
 use cardir_bench::SEED;
-use cardir_engine::{BatchEngine, EngineMode, JoinStrategy, RegionCache, RunPolicy};
+use cardir_engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_telemetry::{ChromeTrace, Json, JsonLines, Tracer};
 use cardir_workloads::{random_map, SplitMix64};
@@ -37,7 +37,6 @@ fn main() {
     let mut sizes: Vec<usize> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut compare_max: usize = 10_000;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--json" {
@@ -50,20 +49,10 @@ fn main() {
                 eprintln!("--trace requires a path");
                 std::process::exit(2);
             }));
-        } else if arg == "--compare-max" {
-            compare_max = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--compare-max requires a count");
-                    std::process::exit(2);
-                });
         } else if let Ok(v) = arg.parse() {
             sizes.push(v);
         } else {
-            eprintln!(
-                "usage: join_throughput [N ...] [--json PATH] [--compare-max M] [--trace PATH]"
-            );
+            eprintln!("usage: join_throughput [N ...] [--json PATH] [--trace PATH]");
             std::process::exit(2);
         }
     }
@@ -90,7 +79,7 @@ fn main() {
         let build = build_start.elapsed();
         let total = n * (n - 1);
         println!(
-            "\n== N = {n} ({total} ordered pairs; cache+R-tree build {build:.2?}) =="
+            "\n== N = {n} ({total} ordered pairs; cache build {build:.2?}) =="
         );
         if let Some(sink) = &mut sink {
             sink.emit(
@@ -129,25 +118,14 @@ fn main() {
             outcome.interacting.len(),
         );
 
-        // Baseline: the quadratic enumeration path on the same map. At
-        // large N this materialises all N·(N−1) outcomes, so it is capped.
-        let baseline = (n <= compare_max).then(|| {
-            let all_engine = BatchEngine::new()
-                .with_mode(EngineMode::Qualitative)
-                .with_strategy(JoinStrategy::AllPairs);
-            let start = Instant::now();
-            let all = black_box(all_engine.run_all(&cache, &RunPolicy::default()));
-            let elapsed_all = start.elapsed();
-            assert_eq!(all.succeeded, total);
-            let speedup = elapsed_all.as_secs_f64() / elapsed.as_secs_f64();
-            println!(
-                "all-pairs baseline: {total} relations in {elapsed_all:.2?} (join speedup {speedup:.2}x)"
-            );
-            (elapsed_all, speedup)
-        });
+        let m = &outcome.metrics;
+        println!(
+            "      discover {:.2?}, exact pass {:.2?}, assemble {:.2?}",
+            m.discover, m.exact_pass, m.assemble
+        );
 
         if let Some(sink) = &mut sink {
-            let mut fields = vec![
+            let fields = vec![
                 ("regions", Json::from(n)),
                 ("total_pairs", Json::from(total)),
                 ("candidates", Json::from(join.candidates)),
@@ -156,15 +134,12 @@ fn main() {
                 ("pairs_materialized", Json::from(outcome.interacting.len())),
                 ("elapsed_ns", Json::from(ns(elapsed))),
                 ("relations_per_sec", Json::from(relations_per_sec)),
-                ("discover_ns", Json::from(ns(outcome.metrics.mask_build))),
-                ("exact_pass_ns", Json::from(ns(outcome.metrics.exact_pass))),
+                ("discover_ns", Json::from(ns(m.discover))),
+                ("exact_pass_ns", Json::from(ns(m.exact_pass))),
+                ("assemble_ns", Json::from(ns(m.assemble))),
                 ("threads", Json::from(outcome.stats.threads)),
                 ("fused_pairs", Json::from(outcome.stats.fused_pairs)),
             ];
-            if let Some((elapsed_all, speedup)) = baseline {
-                fields.push(("allpairs_elapsed_ns", Json::from(ns(elapsed_all))));
-                fields.push(("speedup_vs_allpairs", Json::from(speedup)));
-            }
             sink.emit("join", Json::obj(fields)).expect("write JSON line");
         }
     }

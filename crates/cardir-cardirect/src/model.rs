@@ -7,7 +7,7 @@
 //! all stored in the XML description of the configuration."
 
 use cardir_core::{compute_cdr, compute_cdr_pct, CardinalRelation, PercentageMatrix};
-use cardir_engine::{BatchEngine, BatchStats, EngineMode, JoinStrategy, RegionCache};
+use cardir_engine::{BatchEngine, BatchStats, EngineMode, PairOutcome, RegionCache, RunPolicy};
 use cardir_geometry::Region;
 use std::collections::HashMap;
 use std::fmt;
@@ -222,35 +222,42 @@ impl Configuration {
     /// the user presses "compute relations". Replaces previously stored
     /// relations.
     ///
-    /// Runs on the batch engine's spatial-join strategy: per-region data
+    /// Runs on the batch engine's spatial join: per-region data
     /// is cached once, an MBB sweep finds the interacting pairs in
     /// `O(N log N + K)`, box-decided pairs are emitted straight from the
     /// mask, and the exact passes run on all available cores. The stored
     /// relations are bit-identical to the naive `compute_cdr` double
     /// loop, in the same primary-major order.
     ///
-    /// Returns the engine's run statistics (pairs computed, prefilter
-    /// hits, edge scans) so callers can report what the press of the
-    /// button cost.
+    /// Returns the engine's run statistics (pairs computed, pairs
+    /// decided from the boxes, edge scans) so callers can report what the
+    /// press of the button cost.
     pub fn compute_all_relations(&mut self) -> BatchStats {
-        self.compute_all_relations_with(
-            &BatchEngine::new()
-                .with_mode(EngineMode::Qualitative)
-                .with_strategy(JoinStrategy::SpatialJoin),
-        )
+        self.compute_all_relations_with(&BatchEngine::new())
     }
 
     /// [`Self::compute_all_relations`] with an explicitly configured
     /// engine (thread count control; the mode is forced to qualitative
     /// since only the relation is stored).
+    ///
+    /// # Panics
+    /// Panics with the [`PairError`](cardir_engine::PairError) of the
+    /// first pair that failed, after the whole batch has run.
     pub fn compute_all_relations_with(&mut self, engine: &BatchEngine) -> BatchStats {
         self.relations.clear();
         self.relation_map.clear();
         let cache = RegionCache::build(self.regions.iter().map(|r| &r.region));
         let engine = engine.clone().with_mode(EngineMode::Qualitative);
-        let result = engine.compute_all(&cache);
-        self.relations.reserve(result.pairs.len());
-        for pr in &result.pairs {
+        let outcome = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        self.relations.reserve(outcome.pairs.len());
+        for pair in &outcome.pairs {
+            let pr = match pair {
+                PairOutcome::Ok(pr) => pr,
+                PairOutcome::Failed(e) => panic!("{e}"),
+                PairOutcome::Skipped { .. } => {
+                    unreachable!("the default policy has no deadline and no cancel token")
+                }
+            };
             self.relations.push(StoredRelation {
                 relation: pr.relation,
                 primary: self.regions[pr.primary].id.clone(),
@@ -258,7 +265,7 @@ impl Configuration {
             });
             self.relation_map.insert((pr.primary, pr.reference), pr.relation);
         }
-        result.stats
+        outcome.stats
     }
 
     /// The stored relations (empty until [`Self::compute_all_relations`]

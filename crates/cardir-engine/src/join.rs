@@ -1,54 +1,51 @@
-//! The MBB spatial join: sub-quadratic batch relations.
+//! The MBB spatial join: sub-quadratic batch relations, and the engine's
+//! only whole-map path.
 //!
-//! [`BatchEngine::run_all`] enumerates all `N·(N−1)` ordered pairs even
-//! though the prefilter then decides ~95 % of them from boxes alone — at
-//! 100k regions the enumeration loop itself is the ceiling. The join
-//! inverts the filter: instead of asking "is this pair decided?" once per
-//! pair, two plane sweeps over the region MBBs (see
+//! Enumerating all `N·(N−1)` ordered pairs is quadratic even when the
+//! boxes decide ~95 % of them, and at 100k regions the enumeration loop
+//! itself is the ceiling. The join never enumerates the decided pairs.
+//! Two plane sweeps over the region MBBs (see
 //! [`cardir_index::sweep_stabs`]) discover the *interacting* pairs — the
 //! ones a grid-line contact sends down the exact pipeline — in
 //! `O(N log N + K)` for `K` interacting pairs. That partitions the pair
-//! space exactly as the per-pair prefilter would:
+//! space in two:
 //!
 //! - **mask-emitted** — the `N·(N−1) − K` non-interacting pairs. Their
 //!   primary box lies strictly inside one tile of the reference grid, so
-//!   their relation is the single-tile relation, emitted by the same
-//!   [`emit_decided`] the all-pairs short-circuit uses. These pairs are
-//!   never enumerated as work items.
+//!   their relation is the single-tile relation, emitted by
+//!   [`emit_decided`]. These pairs are never enumerated as work items.
 //! - **exact** — the `K` interacting pairs, which flow through the
-//!   existing chunked worker pipeline (retries, panic isolation,
-//!   deadline/cancel) unchanged.
+//!   chunked worker pipeline (retries, panic isolation, deadline/cancel).
 //!
 //! [`BatchEngine::run_join`] returns the compact [`JoinOutcome`]: the `K`
 //! exact outcomes plus counters, with memory bounded by the interacting
 //! set, so a 100k-region map never materialises ten billion pairs.
 //! [`JoinOutcome::materialize`] expands to the full [`BatchOutcome`] when
-//! the caller really wants every ordered pair — bit-identical to
-//! [`BatchEngine::run_all`] under [`JoinStrategy::AllPairs`].
+//! the caller really wants every ordered pair, in the primary-major order
+//! of a naive double loop.
 //!
-//! ## Equivalence with the per-pair prefilter
+//! ## Equivalence with `decided_tile`
 //!
 //! `decided_tile(mbb(i), mbb(j))` is `None` exactly when `i`'s closed
 //! x-interval contains `j.min.x` or `j.max.x`, or `i`'s closed y-interval
 //! contains `j.min.y` or `j.max.y` (strict-band case analysis: touching
 //! or straddling an endpoint on an axis is precisely closed containment
 //! of that endpoint). Each sweep reports exactly those containments, so
-//! the union of the two sweeps, deduplicated, is exactly the pair set the
-//! R-tree masks flag — and `join.candidates` (one count per
-//! interval/grid-coordinate contact, self-contacts included) equals the
-//! masks' `rtree_candidates` sum.
+//! the union of the two sweeps, deduplicated, is exactly the set of
+//! ordered pairs `i ≠ j` that `decided_tile` cannot decide. The
+//! `join.candidates` counter counts one contact per (interval, grid
+//! coordinate) containment, self-contacts included.
 //!
 //! ## Fault semantics
 //!
 //! `RunPolicy` applies to the exact subset, which is the only part that
 //! does real work. Mask-emitted pairs cost `O(1)` each and are emitted
 //! regardless of deadline or cancellation — a cancelled join still
-//! reports them as succeeded, while the all-pairs engine would have
-//! skipped them along with everything else. Likewise the
-//! `engine.pair.compute` failpoint only fires for exact work items:
-//! emitted pairs never were work items. Panic isolation still covers
-//! emission itself (each emit runs under `catch_unwind` during
-//! materialisation when the policy isolates).
+//! reports them as succeeded. Likewise the `engine.pair.compute`
+//! failpoint only fires for exact work items: emitted pairs never were
+//! work items. Panic isolation still covers emission itself (each emit
+//! runs under `catch_unwind` during materialisation when the policy
+//! isolates).
 
 use crate::batch::{emit_decided, BatchEngine, BatchStats, EngineMode, PairRelation, Tally};
 use crate::cache::RegionCache;
@@ -56,32 +53,18 @@ use crate::metrics::EngineMetrics;
 use crate::policy::{
     BatchOutcome, CompletionStatus, PairError, PairFailure, PairOutcome, RunPolicy,
 };
-use crate::prefilter::{decided_tile, ExactMask};
+use crate::prefilter::decided_tile;
 use cardir_index::{sweep_stabs, Interval};
 use cardir_telemetry::trace::{phases, MAIN_TID};
 use cardir_telemetry::Tracer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// How [`BatchEngine::run_all`] enumerates the pair space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Enumerate every ordered pair and let the per-pair prefilter
-    /// short-circuit the decided ones. `O(N²)` enumeration; the default.
-    AllPairs,
-    /// Discover the interacting pairs with an MBB sweep and emit the
-    /// rest straight from the box mask without enumerating them.
-    /// `O(N log N + K)` discovery. Successful relations are bit-identical
-    /// to [`JoinStrategy::AllPairs`].
-    SpatialJoin,
-}
-
 /// The join's partition counters, exported as `join.*` telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JoinStats {
-    /// Interval/grid-coordinate contacts visited by the two sweeps
-    /// (self-contacts included) — the sweep analogue of
-    /// [`BatchStats::rtree_candidates`], and equal to it by construction.
+    /// Interval/grid-coordinate contacts visited by the two sweeps,
+    /// self-contacts included.
     pub candidates: usize,
     /// Ordered pairs answered straight from the box mask, never
     /// enumerated as work items: `N·(N−1) − K`.
@@ -153,11 +136,9 @@ pub struct JoinOutcome {
     pub failed: usize,
     /// Exact pairs skipped by deadline/cancel.
     pub skipped: usize,
-    /// Counter block over the whole pair space (`stats.pairs == N·(N−1)`;
-    /// `rtree_candidates` carries the sweep's contact count).
+    /// Counter block over the whole pair space (`stats.pairs == N·(N−1)`).
     pub stats: BatchStats,
-    /// Stage timings of the run; `mask_build` holds the sweep discovery
-    /// time and `metrics.join` is `Some`.
+    /// Stage timings of the run; `metrics.join` is `Some`.
     pub metrics: EngineMetrics,
     mode: EngineMode,
     panic_isolation: bool,
@@ -168,18 +149,14 @@ impl JoinOutcome {
     /// Total ordered pairs of the configuration
     /// (`succeeded + failed + skipped`).
     pub fn total(&self) -> usize {
-        if self.regions < 2 {
-            0
-        } else {
-            self.regions * (self.regions - 1)
-        }
+        ordered_pair_count(self.regions)
     }
 
     /// Expands to the full [`BatchOutcome`]: every ordered pair in
-    /// primary-major order, mask-emitted relations produced by the same
-    /// [`emit_decided`] path the all-pairs engine uses — bit-identical
-    /// results by construction. Allocates `O(N²)`; large maps should
-    /// consume [`JoinOutcome::interacting`] directly instead.
+    /// primary-major order, mask-emitted relations produced by
+    /// [`emit_decided`]. The expansion's wall time adds to
+    /// `metrics.assemble`. Allocates `O(N²)`; large maps should consume
+    /// [`JoinOutcome::interacting`] directly instead.
     pub fn materialize(self, cache: &RegionCache<'_>) -> BatchOutcome {
         let JoinOutcome {
             regions: n,
@@ -197,8 +174,8 @@ impl JoinOutcome {
         } = self;
         let mut trace = tracer.thread(MAIN_TID);
         let trace_start = trace.begin();
-        let total = if n < 2 { 0 } else { n * (n - 1) };
-        let mut pairs = Vec::with_capacity(total);
+        let start = Instant::now();
+        let mut pairs = Vec::with_capacity(ordered_pair_count(n));
         let mut tally = Tally::default();
         let mut exact = interacting.into_iter().peekable();
         for i in 0..n {
@@ -216,6 +193,7 @@ impl JoinOutcome {
             }
         }
         debug_assert!(exact.peek().is_none(), "every interacting pair was consumed");
+        metrics.assemble += start.elapsed();
         trace.end(trace_start, phases::MATERIALIZE, None);
         drop(trace);
 
@@ -234,7 +212,6 @@ impl JoinOutcome {
         stats.fused_pairs += tally.fused;
         stats.exact_pairs = succeeded - stats.prefilter_hits;
         metrics.faults.merge(&tally.faults);
-        metrics.stats = stats;
         BatchOutcome { pairs, status, succeeded, failed, skipped, stats, metrics }
     }
 }
@@ -281,82 +258,39 @@ fn emit_checked(
     emit_decided(cache, i, j, tile, mode, tally)
 }
 
+/// `N·(N−1)`, the number of ordered pairs of distinct regions.
+fn ordered_pair_count(n: usize) -> usize {
+    n * n.saturating_sub(1)
+}
+
 impl BatchEngine {
     /// Computes every ordered pair under `policy` via the spatial join,
     /// returning the compact [`JoinOutcome`]: exact outcomes for the `K`
     /// interacting pairs, counters for the rest. Memory is `O(K)`, not
     /// `O(N²)`.
-    ///
-    /// With the prefilter disabled there is nothing sound to emit from,
-    /// so every ordered pair becomes an exact work item (and
-    /// `join.candidates` is 0, mirroring `rtree_candidates` under the
-    /// all-pairs strategy).
     pub fn run_join(&self, cache: &RegionCache<'_>, policy: &RunPolicy) -> JoinOutcome {
         let n = cache.len();
-        if n < 2 {
-            let sub = self.empty_outcome(cache);
-            let mut metrics = sub.metrics;
-            metrics.join = Some(JoinStats::default());
-            return JoinOutcome {
-                regions: n,
-                interacting: Vec::new(),
-                join: JoinStats::default(),
-                status: sub.status,
-                succeeded: 0,
-                failed: 0,
-                skipped: 0,
-                stats: sub.stats,
-                metrics,
-                mode: self.mode(),
-                panic_isolation: policy.panic_isolation,
-                tracer: self.tracer().clone(),
-            };
-        }
         let mut trace = self.tracer().thread(MAIN_TID);
         let trace_start = trace.begin();
         let discover_start = Instant::now();
-        let (work, candidates) = if self.prefilter() {
-            interacting_pairs(cache)
-        } else {
-            let mut all = Vec::with_capacity(n * (n - 1));
-            for i in 0..n as u32 {
-                for j in 0..n as u32 {
-                    if i != j {
-                        all.push((i, j));
-                    }
-                }
-            }
-            (all, 0)
-        };
+        let (work, candidates) = interacting_pairs(cache);
         let discover = discover_start.elapsed();
         trace.end(trace_start, phases::SWEEP_PARTITION, None);
         drop(trace);
-        let total = n * (n - 1);
+        let total = ordered_pair_count(n);
         let join = JoinStats {
             candidates,
             mask_emitted: total - work.len(),
             exact_pairs: work.len(),
         };
-        // Zero-length masks force every work item down the exact path —
-        // which is correct: the sweep already proved each one interacting,
-        // so the per-pair prefilter could never decide it anyway.
-        let masks: Vec<ExactMask> = (0..n).map(|_| ExactMask::new(0)).collect();
         let sub = self.run(
             cache,
-            &masks,
             work.len(),
             |k| (work[k].0 as usize, work[k].1 as usize),
-            discover,
             policy,
         );
-        let stats = BatchStats {
-            pairs: total,
-            rtree_candidates: candidates,
-            ..sub.stats
-        };
-        let mut metrics = sub.metrics;
-        metrics.stats = stats;
-        metrics.join = Some(join);
+        let stats = BatchStats { pairs: total, ..sub.stats };
+        let metrics = EngineMetrics { discover, join: Some(join), ..sub.metrics };
         JoinOutcome {
             regions: n,
             interacting: sub.pairs,
@@ -399,16 +333,31 @@ mod tests {
         out
     }
 
+    /// Brute-force contact count: for every ordered `(i, j)`, `i = j`
+    /// included, the number of `j`'s four grid coordinates that lie in
+    /// `i`'s closed interval on their axis.
+    fn brute_force_candidates(cache: &RegionCache<'_>) -> usize {
+        let n = cache.len();
+        let mut count = 0;
+        for i in 0..n {
+            let a = cache.mbb(i);
+            for j in 0..n {
+                let b = cache.mbb(j);
+                let on_x = [b.min.x, b.max.x].into_iter().filter(|&x| a.min.x <= x && x <= a.max.x);
+                let on_y = [b.min.y, b.max.y].into_iter().filter(|&y| a.min.y <= y && y <= a.max.y);
+                count += on_x.count() + on_y.count();
+            }
+        }
+        count
+    }
+
     fn assert_join_matches_oracle(regions: &[Region]) {
         let cache = RegionCache::build(regions);
         let (got, candidates) = interacting_pairs(&cache);
         assert_eq!(got, oracle(&cache), "interacting set must match the quadratic oracle");
         // Exactly once: strictly increasing packed order proves no dups.
         assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
-        // Candidate counting matches the R-tree masks' semantics.
-        let rtree: usize =
-            (0..cache.len()).map(|j| crate::prefilter::exact_mask(&cache, j).candidates()).sum();
-        assert_eq!(candidates, rtree, "sweep contacts ≡ rtree candidates");
+        assert_eq!(candidates, brute_force_candidates(&cache), "sweep contacts ≡ brute force");
     }
 
     /// Random lattice rectangles: half-integer endpoints force plenty of
@@ -467,51 +416,38 @@ mod tests {
         cardir_workloads::random_map(&mut rng, n, extent).into_iter().map(|m| m.region).collect()
     }
 
+    /// The materialized join agrees with computing every ordered pair on
+    /// the exact path, relation and percentage bits alike; only the
+    /// mask-emitted pairs skip the edge work.
     #[test]
-    fn materialized_join_is_bit_identical_to_run_all() {
+    fn materialized_join_matches_the_exact_path_on_every_pair() {
         let regions = map_regions(11, 30);
         let cache = RegionCache::build(&regions);
+        let all: Vec<(usize, usize)> =
+            (0..30).flat_map(|i| (0..30).filter(move |&j| j != i).map(move |j| (i, j))).collect();
         for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
-            for prefilter in [true, false] {
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(2)
-                    .with_prefilter(prefilter);
-                let all = engine.run_all(&cache, &RunPolicy::default());
-                let joined =
-                    engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
-                assert_eq!(joined.pairs, all.pairs, "mode {mode:?}, prefilter {prefilter}");
-                assert_eq!(joined.status, all.status);
-                assert_eq!(
-                    (joined.succeeded, joined.failed, joined.skipped),
-                    (all.succeeded, all.failed, all.skipped)
-                );
-                // All counter semantics coincide except `threads`, which
-                // reflects how many workers the (smaller) exact pass used.
-                assert_eq!(joined.stats.pairs, all.stats.pairs);
-                assert_eq!(joined.stats.prefilter_hits, all.stats.prefilter_hits);
-                assert_eq!(joined.stats.exact_pairs, all.stats.exact_pairs);
-                assert_eq!(joined.stats.edges_scanned, all.stats.edges_scanned);
-                assert_eq!(joined.stats.fused_pairs, all.stats.fused_pairs);
-                assert_eq!(joined.stats.rtree_candidates, all.stats.rtree_candidates);
+            let engine = BatchEngine::new().with_mode(mode).with_threads(2);
+            let exact = engine.run_pairs(&cache, &all, &RunPolicy::default()).unwrap();
+            let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+            assert_eq!(joined.status, exact.status);
+            assert_eq!(
+                (joined.succeeded, joined.failed, joined.skipped),
+                (exact.succeeded, exact.failed, exact.skipped)
+            );
+            for (got, want) in joined.relations().zip(exact.relations()) {
+                assert_eq!((got.primary, got.reference), (want.primary, want.reference));
+                assert_eq!(got.relation, want.relation, "mode {mode:?}");
+                assert_eq!(got.percentages, want.percentages, "mode {mode:?}");
             }
+            assert_eq!(joined.stats.pairs, exact.stats.pairs);
+            assert_eq!(exact.stats.exact_pairs, exact.stats.pairs, "run_pairs is all exact");
+            assert!(joined.stats.prefilter_hits > 0, "a scattered map has decided pairs");
+            assert_eq!(
+                joined.stats.prefilter_hits + joined.stats.exact_pairs,
+                joined.stats.pairs
+            );
+            assert!(joined.stats.edges_scanned < exact.stats.edges_scanned);
         }
-    }
-
-    #[test]
-    fn strategy_dispatch_runs_the_join_through_run_all() {
-        let regions = map_regions(5, 20);
-        let cache = RegionCache::build(&regions);
-        let direct = BatchEngine::new().with_threads(1).run_all(&cache, &RunPolicy::default());
-        let via = BatchEngine::new()
-            .with_threads(1)
-            .with_strategy(JoinStrategy::SpatialJoin)
-            .run_all(&cache, &RunPolicy::default());
-        assert_eq!(via.pairs, direct.pairs);
-        let join = via.metrics.join.expect("the join strategy reports its partition");
-        assert_eq!(join.mask_emitted + join.exact_pairs, direct.stats.pairs);
-        assert_eq!(join.candidates, direct.stats.rtree_candidates);
-        assert!(direct.metrics.join.is_none(), "all-pairs runs carry no join block");
     }
 
     #[test]
@@ -532,7 +468,6 @@ mod tests {
             "a scattered map is mostly mask-emitted: {:?}",
             outcome.join
         );
-        assert_eq!(outcome.stats.rtree_candidates, outcome.join.candidates);
         // Every interacting outcome really is an undecided pair.
         for p in &outcome.interacting {
             let (i, j) = p.indices();

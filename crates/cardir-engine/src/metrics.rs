@@ -1,50 +1,66 @@
-//! Rich per-run engine metrics, layered over [`BatchStats`].
+//! Per-run engine metrics, beside the [`BatchStats`] counter block.
 //!
-//! [`BatchStats`] stays the cheap always-on counter block; this module
-//! adds the run's *shape*: where wall time went (cache build, mask
-//! build, exact pass), how evenly the workers shared the pair load, and
-//! — when [`detailed`](crate::BatchEngine::with_detailed_metrics)
-//! collection is on — the per-chunk exact-pass duration distribution.
-//! [`EngineMetrics::export`] folds a run into a long-lived
-//! [`Registry`], which the sinks in `cardir-telemetry` then render as a
-//! human report or JSON lines.
+//! [`BatchStats`] is the cheap always-on counter block; this module adds
+//! the run's *shape*: where wall time went (cache build, discovery, exact
+//! pass, assembly), how evenly the workers shared the pair load, and the
+//! per-chunk exact-pass duration distribution. [`EngineMetrics::export`]
+//! folds a run into a long-lived [`Registry`], which the sinks in
+//! `cardir-telemetry` then render as a human report or JSON lines.
 
-use crate::batch::BatchStats;
+use crate::batch::{duration_ns, BatchStats};
 use crate::join::JoinStats;
 use crate::policy::FaultTally;
 use cardir_geometry::RobustStats;
-use cardir_telemetry::{HistogramSnapshot, Registry, COUNT_BOUNDS, DURATION_BOUNDS_NS};
+use cardir_telemetry::{
+    Histogram, HistogramSnapshot, Registry, COUNT_BOUNDS, DURATION_BOUNDS_NS,
+};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Everything one batch run can tell you about its own cost.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Everything one batch run can tell you about its own cost, apart from
+/// the counters in the outcome's `stats`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineMetrics {
-    /// The counter block (also available as `BatchResult::stats`).
-    pub stats: BatchStats,
     /// Wall time of [`RegionCache::build`](crate::RegionCache::build)
     /// for the cache this run used.
     pub cache_build: Duration,
-    /// Wall time spent building the per-reference exact masks (four
-    /// R-tree line searches each).
-    pub mask_build: Duration,
+    /// Wall time of the spatial join's sweep discovery; zero for
+    /// [`BatchEngine::run_pairs`](crate::BatchEngine::run_pairs).
+    pub discover: Duration,
     /// Wall time of the threaded exact pass, chunk dispatch included.
     pub exact_pass: Duration,
+    /// Wall time from the end of the exact pass until the outcome is
+    /// returned: reordering the finished chunks into input order, plus,
+    /// for a [materialized](crate::JoinOutcome::materialize) join,
+    /// expanding the mask-emitted pairs.
+    pub assemble: Duration,
     /// Pairs processed by each worker of the exact pass, indexed by
     /// worker slot — the load-balance signal.
     pub per_thread_pairs: Vec<usize>,
     /// Distribution of per-chunk exact-pass durations in nanoseconds.
-    /// `None` unless the engine ran with
-    /// [`with_detailed_metrics(true)`](crate::BatchEngine::with_detailed_metrics).
-    pub chunk_durations_ns: Option<HistogramSnapshot>,
+    pub chunk_durations_ns: HistogramSnapshot,
     /// Fault events observed during this run: panics caught, injected
     /// failures, retries, failed/skipped pairs, deadline/cancel stops.
     /// All-zero ([`FaultTally::is_clean`]) on a healthy run.
     pub faults: FaultTally,
     /// Spatial-join partition counters. `Some` only when the run went
-    /// through [`BatchEngine::run_join`](crate::BatchEngine::run_join)
-    /// (directly or via [`JoinStrategy::SpatialJoin`](crate::JoinStrategy)).
+    /// through [`BatchEngine::run_join`](crate::BatchEngine::run_join).
     pub join: Option<JoinStats>,
+}
+
+impl Default for EngineMetrics {
+    fn default() -> Self {
+        EngineMetrics {
+            cache_build: Duration::ZERO,
+            discover: Duration::ZERO,
+            exact_pass: Duration::ZERO,
+            assemble: Duration::ZERO,
+            per_thread_pairs: Vec::new(),
+            chunk_durations_ns: Histogram::new_detached(&DURATION_BOUNDS_NS).snapshot(),
+            faults: FaultTally::default(),
+            join: None,
+        }
+    }
 }
 
 impl EngineMetrics {
@@ -73,36 +89,34 @@ impl EngineMetrics {
         mean / max as f64
     }
 
-    /// Folds this run into `registry` under the `engine.` namespace:
-    /// counters `engine.{runs,pairs,prefilter_hits,exact_pairs,
-    /// edges_scanned,fused_pairs,rtree_candidates}`, duration histograms
-    /// `engine.{cache_build,mask_build,exact_pass}_ns` (one sample per
-    /// run), the per-worker pair histogram `engine.thread_pairs`, and —
-    /// when collected — the merged `engine.chunk_ns` distribution.
-    pub fn export(&self, registry: &Registry) {
+    /// Folds this run and its counter block `stats` (the outcome's
+    /// `stats`) into `registry` under the `engine.` namespace: counters
+    /// `engine.{runs,pairs,prefilter_hits,exact_pairs,edges_scanned,
+    /// fused_pairs}`, duration histograms
+    /// `engine.{cache_build,discover,exact_pass,assemble}_ns` (one sample
+    /// per run), the per-worker pair histogram `engine.thread_pairs`, and
+    /// the merged `engine.chunk_ns` distribution.
+    pub fn export(&self, stats: &BatchStats, registry: &Registry) {
         registry.counter("engine.runs").inc();
-        registry.counter("engine.pairs").add(self.stats.pairs as u64);
-        registry.counter("engine.prefilter_hits").add(self.stats.prefilter_hits as u64);
-        registry.counter("engine.exact_pairs").add(self.stats.exact_pairs as u64);
-        registry.counter("engine.edges_scanned").add(self.stats.edges_scanned as u64);
-        registry.counter("engine.fused_pairs").add(self.stats.fused_pairs as u64);
-        registry.counter("engine.rtree_candidates").add(self.stats.rtree_candidates as u64);
+        registry.counter("engine.pairs").add(stats.pairs as u64);
+        registry.counter("engine.prefilter_hits").add(stats.prefilter_hits as u64);
+        registry.counter("engine.exact_pairs").add(stats.exact_pairs as u64);
+        registry.counter("engine.edges_scanned").add(stats.edges_scanned as u64);
+        registry.counter("engine.fused_pairs").add(stats.fused_pairs as u64);
         for (name, duration) in [
             ("engine.cache_build_ns", self.cache_build),
-            ("engine.mask_build_ns", self.mask_build),
+            ("engine.discover_ns", self.discover),
             ("engine.exact_pass_ns", self.exact_pass),
+            ("engine.assemble_ns", self.assemble),
         ] {
-            registry
-                .histogram(name, &DURATION_BOUNDS_NS)
-                .record(duration.as_nanos().min(u64::MAX as u128) as u64);
+            registry.histogram(name, &DURATION_BOUNDS_NS).record(duration_ns(duration));
         }
         let thread_pairs = registry.histogram("engine.thread_pairs", &COUNT_BOUNDS);
         for &pairs in &self.per_thread_pairs {
             thread_pairs.record(pairs as u64);
         }
-        if let Some(chunks) = &self.chunk_durations_ns {
-            registry.histogram("engine.chunk_ns", &chunks.bounds).absorb(chunks);
-        }
+        let chunks = &self.chunk_durations_ns;
+        registry.histogram("engine.chunk_ns", &chunks.bounds).absorb(chunks);
         if let Some(join) = &self.join {
             registry.counter("join.candidates").add(join.candidates as u64);
             registry.counter("join.mask_emitted").add(join.mask_emitted as u64);
@@ -217,38 +231,38 @@ mod tests {
     #[test]
     fn export_writes_engine_namespace() {
         let _guard = EXPORT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let stats = BatchStats {
+            pairs: 10,
+            prefilter_hits: 6,
+            threads: 2,
+            exact_pairs: 4,
+            edges_scanned: 64,
+            fused_pairs: 4,
+        };
         let m = EngineMetrics {
-            stats: BatchStats {
-                pairs: 10,
-                prefilter_hits: 6,
-                threads: 2,
-                exact_pairs: 4,
-                edges_scanned: 64,
-                fused_pairs: 4,
-                rtree_candidates: 12,
-            },
             cache_build: Duration::from_micros(5),
-            mask_build: Duration::from_micros(3),
+            discover: Duration::from_micros(3),
             exact_pass: Duration::from_micros(40),
+            assemble: Duration::from_micros(2),
             per_thread_pairs: vec![6, 4],
-            chunk_durations_ns: None,
-            faults: FaultTally::default(),
-            join: None,
+            ..EngineMetrics::default()
         };
         let registry = Registry::new();
-        m.export(&registry);
-        m.export(&registry); // runs accumulate
+        m.export(&stats, &registry);
+        m.export(&stats, &registry); // runs accumulate
         let snap = registry.snapshot();
         assert_eq!(snap.counter("engine.runs"), Some(2));
         assert_eq!(snap.counter("engine.pairs"), Some(20));
         assert_eq!(snap.counter("engine.edges_scanned"), Some(128));
         assert_eq!(snap.counter("engine.fused_pairs"), Some(8));
-        // An all-pairs run carries no join partition: the series must not
+        // A run_pairs run carries no join partition: the series must not
         // appear at all rather than report zeros.
         assert_eq!(snap.counter("join.candidates"), None);
         assert_eq!(snap.histogram("engine.exact_pass_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.assemble_ns").unwrap().count, 2);
+        assert_eq!(snap.histogram("engine.discover_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("engine.thread_pairs").unwrap().count, 4);
-        assert!(snap.histogram("engine.chunk_ns").is_none());
+        assert_eq!(snap.histogram("engine.chunk_ns").unwrap().count, 0);
         // The robust-predicate and flatten series always export, even
         // when zero events happened between exports.
         assert!(snap.counter("geometry.orient2d_calls").is_some());
@@ -264,7 +278,7 @@ mod tests {
             ..EngineMetrics::default()
         };
         let registry = Registry::new();
-        m.export(&registry);
+        m.export(&BatchStats::default(), &registry);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("join.candidates"), Some(40));
         assert_eq!(snap.counter("join.mask_emitted"), Some(85));
@@ -276,7 +290,8 @@ mod tests {
         use cardir_geometry::{orient2d_sign, Point, Sign};
         let _guard = EXPORT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let registry = Registry::new();
-        EngineMetrics::default().export(&registry); // drain other tests' calls
+        // Drain other tests' calls.
+        EngineMetrics::default().export(&BatchStats::default(), &registry);
         let drained = registry.snapshot().counter("geometry.orient2d_calls").unwrap_or(0);
         // One call that the static filter decides, one that must fall back.
         assert_eq!(
@@ -287,7 +302,7 @@ mod tests {
             orient2d_sign(Point::new(0.1, 0.1), Point::new(0.2, 0.2), Point::new(0.3, 0.3)),
             Sign::Zero
         );
-        EngineMetrics::default().export(&registry);
+        EngineMetrics::default().export(&BatchStats::default(), &registry);
         let snap = registry.snapshot();
         let calls = snap.counter("geometry.orient2d_calls").unwrap();
         assert!(calls >= drained + 2, "calls = {calls}, drained = {drained}");

@@ -1,24 +1,23 @@
 //! Fault-tolerant execution policy and the outcome types it produces.
 //!
-//! The batch engine's plain entry points ([`compute_all`],
-//! [`compute_pairs`]) promise a relation for every pair — a promise a
-//! production service cannot keep when a pair panics, a tenant's deadline
-//! passes, or the caller cancels. [`RunPolicy`] makes the failure
-//! handling explicit, and [`BatchOutcome`] makes the result honest: one
-//! [`PairOutcome`] per requested pair — `Ok`, `Failed`, or `Skipped` —
-//! plus a [`CompletionStatus`] for the run as a whole. The accounting
-//! invariant `succeeded + failed + skipped == total` always holds.
+//! A batch service cannot promise a relation for every pair: a pair may
+//! panic, a tenant's deadline may pass, or the caller may cancel. Both
+//! engine entry points, [`BatchEngine::run_join`] and
+//! [`BatchEngine::run_pairs`], therefore take a [`RunPolicy`] that makes
+//! the failure handling explicit, and report an honest outcome: one
+//! [`PairOutcome`] per pair — `Ok`, `Failed`, or `Skipped` — plus a
+//! [`CompletionStatus`] for the run as a whole. The accounting invariant
+//! `succeeded + failed + skipped == total` always holds.
 //!
 //! With the default policy nothing is ever skipped and results are
 //! bit-identical to the naive per-pair loop; the policy only changes what
 //! happens when something goes wrong.
 //!
-//! [`compute_all`]: crate::BatchEngine::compute_all
-//! [`compute_pairs`]: crate::BatchEngine::compute_pairs
+//! [`BatchEngine::run_join`]: crate::BatchEngine::run_join
+//! [`BatchEngine::run_pairs`]: crate::BatchEngine::run_pairs
 
 use crate::batch::{BatchStats, PairRelation};
 use crate::metrics::EngineMetrics;
-use cardir_core::ComputeError;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -139,8 +138,6 @@ pub enum PairFailure {
     Panicked(String),
     /// An armed failpoint injected this failure.
     Injected(String),
-    /// A fallible compute entry point rejected the pair.
-    Compute(ComputeError),
 }
 
 impl fmt::Display for PairFailure {
@@ -148,7 +145,6 @@ impl fmt::Display for PairFailure {
         match self {
             PairFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
             PairFailure::Injected(msg) => write!(f, "injected fault: {msg}"),
-            PairFailure::Compute(e) => write!(f, "compute error: {e}"),
         }
     }
 }
@@ -183,7 +179,7 @@ impl std::error::Error for PairError {}
 pub enum PairOutcome {
     /// Computed successfully — bit-identical to the naive loop.
     Ok(PairRelation),
-    /// Failed permanently (panic, injected fault, or compute error).
+    /// Failed permanently (panic or injected fault).
     Failed(PairError),
     /// Never attempted: the deadline passed or the run was cancelled
     /// before this pair's chunk was claimed.
@@ -377,13 +373,6 @@ mod tests {
             PairFailure::Injected("x".into()).to_string(),
             "injected fault: x"
         );
-        let compute = PairFailure::Compute(ComputeError::InvertedBounds(
-            cardir_geometry::BoundingBox {
-                min: cardir_geometry::Point::new(1.0, 0.0),
-                max: cardir_geometry::Point::new(0.0, 1.0),
-            },
-        ));
-        assert!(compute.to_string().contains("inverted"));
         assert_eq!(CompletionStatus::DeadlineExceeded.to_string(), "deadline exceeded");
     }
 

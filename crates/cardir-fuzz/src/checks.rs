@@ -8,7 +8,8 @@ use cardir_core::{
     try_compute_cdr_with_mbb, ALL_TILES,
 };
 use cardir_engine::{
-    decided_tile, exact_mask, interacting_pairs, BatchEngine, EngineMode, RegionCache, RunPolicy,
+    decided_tile, interacting_pairs, BatchEngine, BatchOutcome, EngineMode, PairRelation,
+    RegionCache, RunPolicy,
 };
 use cardir_geometry::robust::{on_segment, orient2d_sign, Sign};
 use cardir_geometry::{to_wkt, Point, Polygon, Region, Segment};
@@ -78,8 +79,37 @@ pub fn check_pair(a: &Region, b: &Region) -> Option<Failure> {
     None
 }
 
-/// Checks the batch engine against the naive per-pair loop: every thread
-/// count × prefilter setting must reproduce the naive relations and
+/// Every ordered pair `(i, j)`, `i ≠ j`, in primary-major order.
+pub fn ordered_pairs(n: usize) -> Vec<(usize, usize)> {
+    (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j))).collect()
+}
+
+/// The engine's two ways to compute every ordered pair: the materialized
+/// spatial join (box-decided pairs emitted from the MBBs) and `run_pairs`
+/// over the full ordered-pair list (every pair on the exact path).
+fn engine_paths(
+    engine: &BatchEngine,
+    cache: &RegionCache<'_>,
+) -> [(&'static str, BatchOutcome); 2] {
+    let policy = RunPolicy::default();
+    let joined = engine.run_join(cache, &policy).materialize(cache);
+    let listed = engine
+        .run_pairs(cache, &ordered_pairs(cache.len()), &policy)
+        .expect("every ordered pair indexes into the cache");
+    [("join", joined), ("pairs", listed)]
+}
+
+/// Same pair, same relation, same percentage bits — `via_prefilter`
+/// aside, which only records which path produced the pair.
+pub(crate) fn same_answer(got: &PairRelation, want: &PairRelation) -> bool {
+    got.primary == want.primary
+        && got.reference == want.reference
+        && got.relation == want.relation
+        && got.percentages == want.percentages
+}
+
+/// Checks the batch engine against the naive per-pair loop: at every
+/// thread count, both engine paths must reproduce the naive relations and
 /// percentage matrices bit for bit, in the same order.
 pub fn check_engine(regions: &[Region]) -> Option<Failure> {
     let cache = RegionCache::build(regions);
@@ -97,23 +127,20 @@ pub fn check_engine(regions: &[Region]) -> Option<Failure> {
     }
 
     for threads in [1usize, 2, 4] {
-        for prefilter in [true, false] {
-            let result = BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .with_prefilter(prefilter)
-                .compute_all(&cache);
-            if result.pairs.len() != naive.len() {
+        let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+        for (path, result) in engine_paths(&engine, &cache) {
+            if result.pairs.len() != naive.len() || !result.is_complete() {
                 return fail(
                     "engine-vs-naive",
                     format!(
-                        "threads={threads} prefilter={prefilter}: {} pairs, naive has {}",
+                        "threads={threads} path={path}: {} pairs ({}), naive has {}",
                         result.pairs.len(),
+                        result.status,
                         naive.len()
                     ),
                 );
             }
-            for (pair, (i, j, rel, pct)) in result.pairs.iter().zip(&naive) {
+            for (pair, (i, j, rel, pct)) in result.relations().zip(&naive) {
                 if pair.primary != *i
                     || pair.reference != *j
                     || pair.relation != *rel
@@ -122,7 +149,7 @@ pub fn check_engine(regions: &[Region]) -> Option<Failure> {
                     return fail(
                         "engine-vs-naive",
                         format!(
-                            "threads={threads} prefilter={prefilter} pair ({i}, {j}): \
+                            "threads={threads} path={path} pair ({i}, {j}): \
                              engine {} / {:?}, naive {rel} / {pct:?}",
                             pair.relation, pair.percentages
                         ),
@@ -138,14 +165,15 @@ pub fn check_engine(regions: &[Region]) -> Option<Failure> {
 ///
 /// 1. **Partition oracle** — the sweep's interacting set equals the set
 ///    of ordered pairs `decided_tile` cannot decide, and the sweep's
-///    contact count equals the R-tree masks' candidate sum.
+///    contact count equals a brute-force count of grid-coordinate
+///    containments.
 /// 2. **Mask ground truth** — every pair the join would emit straight
 ///    from the boxes carries the single-tile relation `compute_cdr`
 ///    computes from the actual geometry.
-/// 3. **Join vs all-pairs** — the materialized join is bit-identical to
-///    `run_all` (relations *and* percentage matrices) at every thread
-///    count × prefilter setting × mode, with `JoinStats` accounting that
-///    closes over the whole pair space.
+/// 3. **Join vs the exact path** — the materialized join is
+///    bit-identical to `run_pairs` over every ordered pair (relations
+///    *and* percentage matrices) at every thread count × mode, with
+///    `JoinStats` accounting that closes over the whole pair space.
 pub fn check_join(regions: &[Region]) -> Option<Failure> {
     let cache = RegionCache::build(regions);
     let n = regions.len();
@@ -171,11 +199,21 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
             ),
         );
     }
-    let rtree: usize = (0..n).map(|j| exact_mask(&cache, j).candidates()).sum();
-    if candidates != rtree {
+    // For every ordered (i, j), i = j included: j's four grid
+    // coordinates that lie in i's closed interval on their axis.
+    let mut brute = 0usize;
+    for i in 0..n {
+        let a = cache.mbb(i);
+        for j in 0..n {
+            let b = cache.mbb(j);
+            brute += [b.min.x, b.max.x].iter().filter(|&&x| a.min.x <= x && x <= a.max.x).count();
+            brute += [b.min.y, b.max.y].iter().filter(|&&y| a.min.y <= y && y <= a.max.y).count();
+        }
+    }
+    if candidates != brute {
         return fail(
             "join-partition",
-            format!("sweep contact count {candidates} != r-tree candidate sum {rtree}"),
+            format!("sweep contact count {candidates} != brute-force contact count {brute}"),
         );
     }
 
@@ -204,7 +242,7 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
 
     // Independent quantitative ground truth: the naive per-pair
     // percentage matrices, computed straight from the geometry. Both
-    // enumeration strategies below run the same fused SoA kernel, so an
+    // engine paths below run the same fused SoA kernel, so an
     // engine-vs-engine comparison alone would let a shared kernel bug
     // cancel out; every quantitative run must also reproduce these bit
     // for bit.
@@ -220,65 +258,67 @@ pub fn check_join(regions: &[Region]) -> Option<Failure> {
 
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2] {
-            for prefilter in [true, false] {
-                let label = format!("{mode:?} threads={threads} prefilter={prefilter}");
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
-                // Same engine configuration, enumeration strategy only:
-                // `run_all` here takes the default all-pairs path.
-                let baseline = engine.run_all(&cache, &RunPolicy::default());
-                let joined = engine.run_join(&cache, &RunPolicy::default());
-                let stats = joined.join;
-                if stats.mask_emitted + stats.exact_pairs != total
-                    || joined.succeeded + joined.failed + joined.skipped != total
-                    || (prefilter && stats.exact_pairs != interacting.len())
-                    || (!prefilter && stats.mask_emitted != 0)
-                {
+            let label = format!("{mode:?} threads={threads}");
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+            // Same engine configuration; `run_pairs` over every ordered
+            // pair takes the exact path for each one.
+            let baseline = engine
+                .run_pairs(&cache, &ordered_pairs(n), &RunPolicy::default())
+                .expect("every ordered pair indexes into the cache");
+            let joined = engine.run_join(&cache, &RunPolicy::default());
+            let stats = joined.join;
+            if stats.mask_emitted + stats.exact_pairs != total
+                || joined.succeeded + joined.failed + joined.skipped != total
+                || stats.exact_pairs != interacting.len()
+            {
+                return fail(
+                    "join-accounting",
+                    format!(
+                        "{label}: {stats:?} does not close over {total} pairs \
+                         ({} interacting; {} + {} + {})",
+                        interacting.len(),
+                        joined.succeeded,
+                        joined.failed,
+                        joined.skipped
+                    ),
+                );
+            }
+            let out = joined.materialize(&cache);
+            if out.pairs.len() != baseline.pairs.len() || out.status != baseline.status {
+                return fail(
+                    "join-vs-exact",
+                    format!(
+                        "{label}: {} materialized pairs ({}), the exact path has {} ({})",
+                        out.pairs.len(),
+                        out.status,
+                        baseline.pairs.len(),
+                        baseline.status
+                    ),
+                );
+            }
+            for (got, want) in out.pairs.iter().zip(&baseline.pairs) {
+                let agree = match (got.ok(), want.ok()) {
+                    (Some(g), Some(w)) => same_answer(g, w),
+                    _ => got == want,
+                };
+                if !agree {
                     return fail(
-                        "join-accounting",
-                        format!(
-                            "{label}: {stats:?} does not close over {total} pairs \
-                             ({} interacting; {} + {} + {})",
-                            interacting.len(),
-                            joined.succeeded,
-                            joined.failed,
-                            joined.skipped
-                        ),
+                        "join-vs-exact",
+                        format!("{label}: join {got:?}, exact path {want:?}"),
                     );
                 }
-                let out = joined.materialize(&cache);
-                if out.pairs.len() != baseline.pairs.len() {
-                    return fail(
-                        "join-vs-allpairs",
-                        format!(
-                            "{label}: {} materialized pairs, all-pairs has {}",
-                            out.pairs.len(),
-                            baseline.pairs.len()
-                        ),
-                    );
-                }
-                for (got, want) in out.pairs.iter().zip(&baseline.pairs) {
-                    if got != want {
+            }
+            if matches!(mode, EngineMode::Quantitative) {
+                for got in out.pairs.iter().filter_map(|o| o.ok()) {
+                    let want = naive_pct[got.primary * n + got.reference].as_ref();
+                    if got.percentages.as_ref() != want {
                         return fail(
-                            "join-vs-allpairs",
-                            format!("{label}: join {got:?}, all-pairs {want:?}"),
+                            "join-pct-vs-naive",
+                            format!(
+                                "{label} pair ({}, {}): materialized {:?}, naive {want:?}",
+                                got.primary, got.reference, got.percentages
+                            ),
                         );
-                    }
-                }
-                if matches!(mode, EngineMode::Quantitative) {
-                    for got in out.pairs.iter().filter_map(|o| o.ok()) {
-                        let want = naive_pct[got.primary * n + got.reference].as_ref();
-                        if got.percentages.as_ref() != want {
-                            return fail(
-                                "join-pct-vs-naive",
-                                format!(
-                                    "{label} pair ({}, {}): materialized {:?}, naive {want:?}",
-                                    got.primary, got.reference, got.percentages
-                                ),
-                            );
-                        }
                     }
                 }
             }

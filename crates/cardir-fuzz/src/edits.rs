@@ -87,7 +87,7 @@ fn draw_edit(rng: &mut SplitMix64, engine: &IncrementalEngine, pool: &mut Vec<Re
     }
 }
 
-/// The oracle: a fresh prefilter-on batch join over the engine's live
+/// The oracle: a fresh batch join over the engine's live
 /// geometry, materialized to the full ordered-pair list.
 fn full_recompute(engine: &IncrementalEngine) -> Result<Vec<PairRelation>, String> {
     let regions: Vec<&Region> = engine.live_regions().map(|(_, r)| r).collect();

@@ -14,27 +14,16 @@
 //! concurrently with other failpoint users; the fuzz CLI and the smoke
 //! tests serialize them.
 
-use crate::checks::Failure;
+use crate::checks::{ordered_pairs, same_answer, Failure};
 use cardir_cardirect::xml::{backup_path, load_config, save_xml_atomic, temp_path, LoadSource};
 use cardir_cardirect::Configuration;
-use cardir_engine::{BatchEngine, EngineMode, PairOutcome, RegionCache, RunPolicy};
+use cardir_engine::{BatchEngine, EngineMode, PairOutcome, PairRelation, RegionCache, RunPolicy};
 use cardir_faults::{sites, FaultAction, Trigger};
 use cardir_geometry::Region;
 use std::path::PathBuf;
 
 fn fail(check: &'static str, detail: String) -> Option<Failure> {
     Some(Failure { check, detail })
-}
-
-/// Compares one surviving engine pair against the fault-free baseline.
-fn survivor_matches(
-    got: &cardir_engine::PairRelation,
-    want: &cardir_engine::PairRelation,
-) -> bool {
-    got.primary == want.primary
-        && got.reference == want.reference
-        && got.relation == want.relation
-        && got.percentages == want.percentages
 }
 
 /// Seeded fault sweep over the batch engine: arms `engine.pair.compute`
@@ -49,11 +38,23 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     let cache = RegionCache::build(regions);
     let n = regions.len();
     let total = n * (n - 1);
+    // Every ordered pair is a work item, so faults can hit any of them.
+    let all_pairs = ordered_pairs(n);
 
-    // Fault-free baseline, default policy.
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
+    // Fault-free baseline, default policy, through the whole-map path.
+    let engine = BatchEngine::new().with_mode(EngineMode::Quantitative);
+    let baseline: Vec<PairRelation> = engine
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache)
+        .relations()
+        .cloned()
+        .collect();
+    if baseline.len() != total {
+        return fail(
+            "faults-engine-baseline",
+            format!("fault-free run produced {} of {total} pairs", baseline.len()),
+        );
+    }
 
     let scenarios: [(&str, FaultAction, u32); 2] = [
         ("faults-engine-panic", FaultAction::Panic("injected".into()), 0),
@@ -73,7 +74,8 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                 BatchEngine::new()
                     .with_mode(EngineMode::Quantitative)
                     .with_threads(threads)
-                    .run_all(&cache, &RunPolicy::default().with_retries(retries))
+                    .run_pairs(&cache, &all_pairs, &RunPolicy::default().with_retries(retries))
+                    .expect("every ordered pair indexes into the cache")
             });
             drop(guard);
 
@@ -98,10 +100,10 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
                     format!("threads={threads}: {} outcome slots for {total} pairs", outcome.pairs.len()),
                 );
             }
-            for (k, (pair, want)) in outcome.pairs.iter().zip(&baseline.pairs).enumerate() {
+            for (k, (pair, want)) in outcome.pairs.iter().zip(&baseline).enumerate() {
                 match pair {
                     PairOutcome::Ok(pr) => {
-                        if !survivor_matches(pr, want) {
+                        if !same_answer(pr, want) {
                             return fail(
                                 check,
                                 format!(
@@ -136,16 +138,17 @@ pub fn check_engine_faults(regions: &[Region], seed: u64) -> Option<Failure> {
     let clean = BatchEngine::new()
         .with_mode(EngineMode::Quantitative)
         .with_threads(2)
-        .run_all(&cache, &RunPolicy::default());
+        .run_pairs(&cache, &all_pairs, &RunPolicy::default())
+        .expect("every ordered pair indexes into the cache");
     if !clean.is_complete() || clean.failed != 0 {
         return fail(
             "faults-engine-residue",
             format!("clean run after disarm: status {:?}, {} failed", clean.status, clean.failed),
         );
     }
-    for (pair, want) in clean.pairs.iter().zip(&baseline.pairs) {
+    for (pair, want) in clean.pairs.iter().zip(&baseline) {
         match pair {
-            PairOutcome::Ok(pr) if survivor_matches(pr, want) => {}
+            PairOutcome::Ok(pr) if same_answer(pr, want) => {}
             other => {
                 return fail(
                     "faults-engine-residue",

@@ -8,11 +8,12 @@
 //! * `compute_cdr` against the polygon-clipping baseline,
 //! * `tile_areas` against the clipped shoelace areas (and the region's
 //!   own area),
-//! * the batch engine (every thread count, prefilter on and off) against
-//!   the naive per-pair loop, bit for bit,
+//! * the batch engine (every thread count, the materialized join and
+//!   `run_pairs` over every ordered pair) against the naive per-pair
+//!   loop, bit for bit,
 //! * the spatial join (sweep partition, mask-emitted relations, the
 //!   materialized outcome) against `decided_tile`, `compute_cdr`, and
-//!   the all-pairs engine,
+//!   the exact path over every pair,
 //! * XML and query round-trips on a configuration built from the
 //!   scenario.
 //!

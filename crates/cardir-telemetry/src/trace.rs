@@ -53,11 +53,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// [`phases::QUEUE_WAIT`] as waiting and every other phase as busy; the
 /// names appear verbatim in Perfetto.
 pub mod phases {
-    /// [`RegionCache::build`] — per-map derived data + R-tree load.
+    /// [`RegionCache::build`] — per-map derived data and the SoA edge
+    /// store.
     pub const CACHE_BUILD: &str = "cache_build";
-    /// Per-reference exact-mask construction (four R-tree line searches
-    /// each), on the coordinating thread.
-    pub const MASK_BUILD: &str = "mask_build";
     /// The spatial join's two plane sweeps partitioning the pair space.
     pub const SWEEP_PARTITION: &str = "sweep_partition";
     /// Between-chunk time on a worker: cooperative policy checks plus
@@ -66,13 +64,16 @@ pub mod phases {
     pub const QUEUE_WAIT: &str = "queue_wait";
     /// One claimed chunk's exact-pass computation, result push included.
     pub const CHUNK_COMPUTE: &str = "chunk_compute";
+    /// Reassembling the finished chunks in input order after the exact
+    /// pass, on the coordinating thread.
+    pub const ASSEMBLE: &str = "assemble";
     /// [`JoinOutcome::materialize`] — expanding mask-emitted pairs into
     /// the full ordered-pair vector.
     pub const MATERIALIZE: &str = "materialize";
 }
 
 /// Thread id the engine uses for coordinator-side phases (cache build,
-/// mask build, sweep, materialize). Workers are numbered from 1.
+/// sweep, assembly, materialize). Workers are numbered from 1.
 pub const MAIN_TID: u32 = 0;
 
 /// One recorded span: a phase tag, the recording thread, an optional
@@ -780,7 +781,7 @@ mod tests {
         assert_eq!(tt.begin(), None);
         tt.end(None, phases::CHUNK_COMPUTE, Some(1));
         {
-            let _s = tt.span(phases::MASK_BUILD, None);
+            let _s = tt.span(phases::SWEEP_PARTITION, None);
         }
         assert!(tt.is_empty());
         drop(tt);
@@ -856,7 +857,7 @@ mod tests {
         chrome.add_events(
             "cell-a",
             vec![
-                ev(phases::MASK_BUILD, MAIN_TID, None, 10, 40),
+                ev(phases::SWEEP_PARTITION, MAIN_TID, None, 10, 40),
                 ev(phases::QUEUE_WAIT, 1, Some(0), 55, 5),
                 ev(phases::CHUNK_COMPUTE, 1, Some(0), 60, 100),
             ],

@@ -33,7 +33,9 @@ cargo run --release --offline -p cardir-bench --bin json_check -- "$bench_trace"
 cargo run --release --offline -p cardir-bench --bin trace_report -- "$bench_trace" > /dev/null
 
 # Bench-regression gate: the fresh N=100 run must stay within a generous
-# 3x of the committed N=1000 baseline, per (mode, threads) series. Only
+# 3x of the committed N=1000 baseline, per (mode, threads) series. Each
+# cell times the whole-map path, the spatial join materialized to every
+# ordered pair. Only
 # the threads=1 cells are gated — multi-thread cells on a tiny N=100
 # workload are spawn-overhead noise when the CI host has fewer cores
 # than the baseline machine. The threshold absorbs the N difference and
@@ -50,16 +52,17 @@ cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.j
     --filter mode=quantitative --filter threads=1 --threshold 3
 
 # Spatial-join smoke: the sweep-partitioned batch path must complete a
-# 10k-region map (≈ 10^8 ordered pairs, counted not materialised;
-# --compare-max 0 skips the quadratic all-pairs baseline here) and emit
-# the join.* partition counters CI dashboards track.
+# 10k-region map (≈ 10^8 ordered pairs, counted not materialised) and
+# emit the join.* partition counters CI dashboards track, plus the
+# assembly phase that, with discovery and the exact pass, accounts for
+# the run's wall time.
 join_json="$(mktemp /tmp/join.XXXXXX.json)"
 trap 'rm -f "$bench_json" "$join_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin join_throughput -- 10000 \
-    --compare-max 0 --json "$join_json" > /dev/null
+    --json "$join_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$join_json" \
     --require join.candidates --require join.mask_emitted --require join.exact_pairs \
-    --require join.fused_pairs
+    --require join.fused_pairs --require join.assemble_ns
 
 # Differential-fuzz smoke: 500 deterministic adversarial scenarios
 # cross-checked across the whole stack; any divergence or panic fails the

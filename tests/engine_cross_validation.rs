@@ -1,17 +1,19 @@
-//! Cross-validation of the batch engine (the parallel, MBB-prefiltered
-//! pair pipeline) against the naive per-pair algorithms: outputs must be
+//! Cross-validation of the batch engine (the parallel pair pipeline
+//! behind the MBB spatial join) against the naive per-pair algorithms:
+//! outputs must be
 //! **bit-identical** — relations equal and percentage matrices equal as
 //! raw f64s, not approximately — on every workload family, at every
 //! thread count, with every pair in the naive double loop's order.
 
 use cardir::core::{compute_cdr, compute_cdr_pct};
-use cardir::engine::{BatchEngine, EngineMode, RegionCache};
+use cardir::engine::{BatchEngine, BatchOutcome, EngineMode, RegionCache, RunPolicy};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::workloads::{archipelago, random_map, RegionSpec, SplitMix64};
 
 /// Checks one region family: engine output at 1, 2, and 4 threads — with
-/// the MBB prefilter enabled *and* disabled — is bit-identical to the
-/// naive loop, in both modes.
+/// the box decision (the materialized spatial join) *and* without it
+/// (`run_pairs` over every ordered pair, all on the exact path) — is
+/// bit-identical to the naive loop, in both modes.
 fn assert_engine_matches_naive(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
@@ -26,21 +28,25 @@ fn assert_engine_matches_naive(regions: &[Region], family: &str) {
                 }
             }
         }
+        let all_pairs: Vec<(usize, usize)> = naive.iter().map(|&(i, j, _, _)| (i, j)).collect();
         for threads in [1usize, 2, 4] {
-            for prefilter in [true, false] {
-                let label = format!("{family}, {mode:?}, {threads} threads, prefilter={prefilter}");
-                let result = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter)
-                    .compute_all(&cache);
+            for path in ["join", "exact"] {
+                let label = format!("{family}, {mode:?}, {threads} threads, path={path}");
+                let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+                let result: BatchOutcome = if path == "join" {
+                    engine.run_join(&cache, &RunPolicy::default()).materialize(&cache)
+                } else {
+                    engine.run_pairs(&cache, &all_pairs, &RunPolicy::default()).unwrap()
+                };
                 assert_eq!(result.pairs.len(), naive.len(), "{label}");
                 assert_eq!(result.stats.pairs, naive.len());
-                if !prefilter {
+                if path == "exact" {
                     assert_eq!(result.stats.prefilter_hits, 0, "{label}");
                     assert_eq!(result.stats.exact_pairs, naive.len(), "{label}");
                 }
-                for (got, (i, j, rel, pct)) in result.pairs.iter().zip(&naive) {
+                let relations: Vec<_> = result.relations().collect();
+                assert_eq!(relations.len(), naive.len(), "{label}: every pair computes");
+                for (got, (i, j, rel, pct)) in relations.iter().zip(&naive) {
                     assert_eq!(
                         (got.primary, got.reference),
                         (*i, *j),
@@ -102,8 +108,9 @@ fn archipelagos_bit_identical_across_threads() {
 
 /// Family 4: MBB boundary contact — every pair shares a grid line or a
 /// corner with some neighbour, the exact configurations where the
-/// prefilter must *decline* to decide. Prefilter on and off must agree
-/// bit for bit (the strictness of the short-circuit is what this pins).
+/// box decision must *decline* to decide. The join and the all-exact
+/// path must agree bit for bit (the strictness of the short-circuit is
+/// what this pins).
 #[test]
 fn shared_mbb_edges_and_corners_bit_identical_with_and_without_prefilter() {
     let rect = |x0: f64, y0: f64, x1: f64, y1: f64| {
@@ -140,9 +147,11 @@ fn selected_pairs_bit_identical() {
         let result = BatchEngine::new()
             .with_mode(EngineMode::Quantitative)
             .with_threads(threads)
-            .compute_pairs(&cache, &pairs);
-        assert_eq!(result.pairs.len(), pairs.len());
-        for (got, &(i, j)) in result.pairs.iter().zip(&pairs) {
+            .run_pairs(&cache, &pairs, &RunPolicy::default())
+            .unwrap();
+        let relations: Vec<_> = result.relations().collect();
+        assert_eq!(relations.len(), pairs.len());
+        for (got, &(i, j)) in relations.iter().zip(&pairs) {
             assert_eq!((got.primary, got.reference), (i, j), "{threads} threads");
             assert_eq!(got.relation, compute_cdr(&regions[i], &regions[j]), "{threads} threads");
             assert_eq!(

@@ -7,14 +7,16 @@
 //! depends on none being armed) holds `SERIAL`. This file is its own
 //! test binary, so no other suite can race it.
 
+use cardir::cardirect::Configuration;
 use cardir::engine::{
-    BatchEngine, CancelToken, CompletionStatus, EngineMode, PairFailure, PairOutcome, RegionCache,
-    RunPolicy,
+    BatchEngine, BatchOutcome, CancelToken, CompletionStatus, EngineMode, PairFailure, PairOutcome,
+    PairRelation, RegionCache, RunPolicy,
 };
 use cardir::faults::{self, sites, FaultAction, Trigger};
 use cardir::geometry::Region;
 use cardir::telemetry::Registry;
 use cardir::workloads::SplitMix64;
+use cardir_fuzz::checks::ordered_pairs;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -38,8 +40,26 @@ fn random_regions(n: usize, seed: u64) -> Vec<Region> {
         .collect()
 }
 
+/// `run_pairs` over every ordered pair `(i, j)`, `i ≠ j`, in
+/// primary-major order: every pair is a work item on the exact path.
+fn run_every_pair(
+    engine: &BatchEngine,
+    cache: &RegionCache<'_>,
+    policy: &RunPolicy,
+) -> BatchOutcome {
+    let pairs = ordered_pairs(cache.len());
+    engine.run_pairs(cache, &pairs, policy).expect("every ordered pair indexes into the cache")
+}
+
+/// The fault-free relations of every ordered pair, default policy.
+fn baseline_relations(engine: &BatchEngine, cache: &RegionCache<'_>) -> Vec<PairRelation> {
+    let outcome = run_every_pair(engine, cache, &RunPolicy::default());
+    assert!(outcome.is_complete(), "the fault-free baseline must complete");
+    outcome.relations().cloned().collect()
+}
+
 #[test]
-fn default_policy_is_bit_identical_to_legacy_compute_all() {
+fn default_policy_run_pairs_is_bit_identical_to_the_materialized_join() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     faults::disarm_all();
     let regions = random_regions(12, 11);
@@ -48,21 +68,28 @@ fn default_policy_is_bit_identical_to_legacy_compute_all() {
         let engine = BatchEngine::new()
             .with_mode(EngineMode::Quantitative)
             .with_threads(threads);
-        let legacy = engine.compute_all(&cache);
-        let outcome = engine.run_all(&cache, &RunPolicy::default());
+        let joined = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
+        let outcome = run_every_pair(&engine, &cache, &RunPolicy::default());
 
         assert_eq!(outcome.status, CompletionStatus::Complete);
         assert!(outcome.is_complete());
-        assert_eq!(outcome.succeeded, legacy.pairs.len());
+        assert_eq!(outcome.succeeded, joined.pairs.len());
         assert_eq!(outcome.failed, 0);
         assert_eq!(outcome.skipped, 0);
         assert!(outcome.metrics.faults.is_clean());
         let relations: Vec<_> = outcome.relations().collect();
-        assert_eq!(relations.len(), legacy.pairs.len());
-        for (got, want) in relations.iter().zip(&legacy.pairs) {
-            assert_eq!(*got, want, "threads={threads}");
+        let want: Vec<_> = joined.relations().collect();
+        assert_eq!(relations.len(), want.len());
+        // `via_prefilter` records which path produced a pair, so only
+        // the answer itself is compared.
+        for (got, want) in relations.iter().zip(&want) {
+            assert_eq!(
+                (got.primary, got.reference, got.relation, got.percentages),
+                (want.primary, want.reference, want.relation, want.percentages),
+                "threads={threads}"
+            );
         }
-        assert_eq!(outcome.stats, legacy.stats);
+        assert_eq!(outcome.stats.pairs, joined.stats.pairs);
     }
 }
 
@@ -73,9 +100,8 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
     let regions = random_regions(10, 23);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
+    let baseline =
+        baseline_relations(&BatchEngine::new().with_mode(EngineMode::Quantitative), &cache);
 
     let actions = [
         FaultAction::Panic("sweep".into()),
@@ -90,10 +116,9 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
                 Trigger::Probability { num: 1, den: 5, seed: 0xFEED ^ threads as u64 },
             );
             let outcome = faults::with_silent_panics(|| {
-                BatchEngine::new()
-                    .with_mode(EngineMode::Quantitative)
-                    .with_threads(threads)
-                    .run_all(&cache, &RunPolicy::default())
+                let engine =
+                    BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+                run_every_pair(&engine, &cache, &RunPolicy::default())
             });
             drop(guard);
 
@@ -110,7 +135,7 @@ fn site_sweep_accounting_closes_for_every_action_and_thread_count() {
                 assert_eq!(outcome.status, CompletionStatus::Complete);
             }
             // Every surviving pair is bit-identical to the baseline.
-            for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
+            for (got, want) in outcome.pairs.iter().zip(&baseline) {
                 if let PairOutcome::Ok(pr) = got {
                     assert_eq!(pr, want, "{action:?} threads={threads}");
                 }
@@ -128,9 +153,8 @@ fn one_poisoned_pair_still_yields_all_other_results() {
     let regions = random_regions(8, 5);
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
-    let baseline = BatchEngine::new()
-        .with_mode(EngineMode::Quantitative)
-        .compute_all(&cache);
+    let baseline =
+        baseline_relations(&BatchEngine::new().with_mode(EngineMode::Quantitative), &cache);
 
     for threads in [1usize, 4] {
         // Exactly the 11th pair computation panics.
@@ -140,10 +164,9 @@ fn one_poisoned_pair_still_yields_all_other_results() {
             Trigger::Nth(11),
         );
         let outcome = faults::with_silent_panics(|| {
-            BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .run_all(&cache, &RunPolicy::default())
+            let engine =
+                BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+            run_every_pair(&engine, &cache, &RunPolicy::default())
         });
         drop(guard);
 
@@ -156,7 +179,7 @@ fn one_poisoned_pair_still_yields_all_other_results() {
         assert!(matches!(failures[0].failure, PairFailure::Panicked(_)));
         assert!(failures[0].to_string().contains("poisoned pair"), "{}", failures[0]);
         // The N−1 others are correct and in their slots.
-        for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
+        for (got, want) in outcome.pairs.iter().zip(&baseline) {
             match got {
                 PairOutcome::Ok(pr) => assert_eq!(pr, want),
                 PairOutcome::Failed(e) => {
@@ -168,23 +191,25 @@ fn one_poisoned_pair_still_yields_all_other_results() {
     }
 }
 
-/// The legacy infallible API re-raises the failure — but only after the
+/// `Configuration::compute_all_relations` stores a relation for every
+/// pair, so it re-raises a failed pair's `PairError` — but only after the
 /// whole batch has run (the scope no longer aborts mid-flight).
 #[test]
-fn legacy_compute_all_rethrows_an_injected_panic() {
+fn compute_all_relations_rethrows_an_injected_panic() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     faults::disarm_all();
     let regions = random_regions(6, 7);
-    let cache = RegionCache::build(&regions);
+    let mut config = Configuration::new("faults", "faults.png");
+    for (i, region) in regions.into_iter().enumerate() {
+        config.add_region(format!("r{i}"), format!("r{i}"), "red", region).unwrap();
+    }
     let guard = faults::arm(
         sites::ENGINE_PAIR_COMPUTE,
         FaultAction::Panic("legacy".into()),
         Trigger::Nth(3),
     );
     let result = faults::with_silent_panics(|| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            BatchEngine::new().compute_all(&cache)
-        }))
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.compute_all_relations()))
     });
     drop(guard);
     let message = faults::panic_message(result.expect_err("the failure must re-raise"));
@@ -205,7 +230,8 @@ fn transient_failures_recover_with_retries() {
         FaultAction::Error("transient".into()),
         Trigger::Times(2),
     );
-    let outcome = BatchEngine::new().with_threads(1).run_all(
+    let outcome = run_every_pair(
+        &BatchEngine::new().with_threads(1),
         &cache,
         &RunPolicy::default().with_retries(2).with_backoff(Duration::ZERO),
     );
@@ -254,9 +280,11 @@ fn zero_deadline_skips_everything() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
 
-    let outcome = BatchEngine::new()
-        .with_threads(2)
-        .run_all(&cache, &RunPolicy::default().with_deadline(Duration::ZERO));
+    let outcome = run_every_pair(
+        &BatchEngine::new().with_threads(2),
+        &cache,
+        &RunPolicy::default().with_deadline(Duration::ZERO),
+    );
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
     assert_eq!(outcome.skipped, total);
@@ -285,9 +313,11 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
         FaultAction::Delay(Duration::from_millis(30)),
         Trigger::Always,
     );
-    let outcome = BatchEngine::new()
-        .with_threads(1)
-        .run_all(&cache, &RunPolicy::default().with_deadline(Duration::from_millis(50)));
+    let outcome = run_every_pair(
+        &BatchEngine::new().with_threads(1),
+        &cache,
+        &RunPolicy::default().with_deadline(Duration::from_millis(50)),
+    );
     drop(guard);
 
     assert_eq!(outcome.status, CompletionStatus::DeadlineExceeded);
@@ -296,8 +326,8 @@ fn mid_run_deadline_completes_some_chunks_and_skips_the_rest() {
     assert_eq!(outcome.succeeded + outcome.skipped, total);
     // Completed work is contiguous from the front (chunk order on one
     // thread), and all of it is correct.
-    let baseline = BatchEngine::new().compute_all(&cache);
-    for (got, want) in outcome.pairs.iter().zip(&baseline.pairs) {
+    let baseline = baseline_relations(&BatchEngine::new(), &cache);
+    for (got, want) in outcome.pairs.iter().zip(&baseline) {
         if let PairOutcome::Ok(pr) = got {
             assert_eq!(pr, want);
         }
@@ -314,9 +344,11 @@ fn pre_cancelled_token_skips_everything() {
 
     let token = CancelToken::new();
     token.cancel();
-    let outcome = BatchEngine::new()
-        .with_threads(4)
-        .run_all(&cache, &RunPolicy::default().with_cancel(token));
+    let outcome = run_every_pair(
+        &BatchEngine::new().with_threads(4),
+        &cache,
+        &RunPolicy::default().with_cancel(token),
+    );
 
     assert_eq!(outcome.status, CompletionStatus::Cancelled);
     assert_eq!(outcome.skipped, total);
@@ -344,6 +376,29 @@ fn cache_build_failpoint_panics_are_isolated_by_caller() {
     assert_eq!(RegionCache::build(&regions).len(), 5);
 }
 
+/// The cache-insert failpoint sits in `RegionCache::build`'s per-region
+/// loop: a build over `n` regions hits it exactly `n` times.
+#[test]
+fn cache_insert_failpoint_fires_once_per_region() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    faults::disarm_all();
+    let regions = random_regions(5, 29);
+    for (nth, fires) in [(5u64, true), (6, false)] {
+        let guard = faults::arm(
+            sites::ENGINE_CACHE_INSERT,
+            FaultAction::Panic("per region".into()),
+            Trigger::Nth(nth),
+        );
+        let result = faults::with_silent_panics(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                RegionCache::build(&regions).len()
+            }))
+        });
+        drop(guard);
+        assert_eq!(result.is_err(), fires, "hit {nth} of a 5-region build");
+    }
+}
+
 #[test]
 fn fault_events_flow_into_telemetry() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -357,13 +412,13 @@ fn fault_events_flow_into_telemetry() {
         Trigger::Nth(5),
     );
     let outcome = faults::with_silent_panics(|| {
-        BatchEngine::new().with_threads(2).run_all(&cache, &RunPolicy::default())
+        run_every_pair(&BatchEngine::new().with_threads(2), &cache, &RunPolicy::default())
     });
     drop(guard);
     assert_eq!(outcome.failed, 1);
 
     let registry = Registry::new();
-    outcome.metrics.export(&registry);
+    outcome.metrics.export(&outcome.stats, &registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.faults.panics_caught"), Some(1));
     assert_eq!(snap.counter("engine.faults.failed_pairs"), Some(1));

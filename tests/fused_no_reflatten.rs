@@ -2,9 +2,10 @@
 //! `RegionCache::build`, the process-global flatten counter
 //! (`cardir::geometry::flatten::events`, bumped by every `Polygon::edges`
 //! / `Region::edges` construction) must not move, no matter how many
-//! pairs the engine computes, in either mode, with either enumeration
-//! strategy. Before the fused SoA pipeline, the quantitative exact loop
-//! flattened every primary's edges **twice per pair** (1,076,397 events
+//! pairs the engine computes, in either mode, on either engine path
+//! (the materialized spatial join, or `run_pairs` over every pair).
+//! Before the fused SoA pipeline, the quantitative exact loop flattened
+//! every primary's edges **twice per pair** (1,076,397 events
 //! on the N=1000 bench vs 529,065 qualitative); this file pins the fix
 //! at zero.
 //!
@@ -16,6 +17,7 @@
 use cardir::engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
 use cardir::geometry::{flatten, BoundingBox, Point, Region};
 use cardir::workloads::{random_map, SplitMix64};
+use cardir_fuzz::checks::ordered_pairs;
 
 #[test]
 fn engine_runs_never_reflatten_region_geometry() {
@@ -30,21 +32,17 @@ fn engine_runs_never_reflatten_region_geometry() {
     let cache = RegionCache::build(&regions);
     let after_build = flatten::events();
 
+    let all_pairs = ordered_pairs(regions.len());
     for mode in [EngineMode::Qualitative, EngineMode::Quantitative] {
         for threads in [1usize, 2, 8] {
-            for prefilter in [true, false] {
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
 
-                let all = engine.compute_all(&cache);
-                assert!(all.stats.pairs > 0);
+            let all = engine.run_pairs(&cache, &all_pairs, &RunPolicy::default()).unwrap();
+            assert!(all.stats.pairs > 0);
 
-                let joined = engine.run_join(&cache, &RunPolicy::default());
-                let out = joined.materialize(&cache);
-                assert_eq!(out.pairs.len(), all.pairs.len());
-            }
+            let joined = engine.run_join(&cache, &RunPolicy::default());
+            let out = joined.materialize(&cache);
+            assert_eq!(out.pairs.len(), all.pairs.len());
         }
     }
 

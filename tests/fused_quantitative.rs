@@ -4,12 +4,11 @@
 //! raw f64s — to the legacy two-pass per-pair path
 //! (`compute_cdr_with_mbb` then `tile_areas_with_mbb`, which re-flattens
 //! and re-divides every primary edge twice) *and* to the fully naive
-//! entry points, across threads {1, 2, 8} × prefilter on/off × both
-//! enumeration strategies (all-pairs and the spatial join).
+//! entry points, across threads {1, 2, 8} × both engine paths (the
+//! materialized spatial join, and `run_pairs` over every ordered pair).
 //!
 //! It also pins the `fused_pairs` accounting: every exact computation —
-//! and only exact computations — runs over the fused SoA kernels, with
-//! the two strategies agreeing on the count.
+//! and only exact computations — runs over the fused SoA kernels.
 
 use cardir::core::{
     cdr_areas_from_soa, cdr_from_soa, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb,
@@ -18,6 +17,7 @@ use cardir::core::{
 use cardir::engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::workloads::{archipelago, random_map, RegionSpec, SplitMix64};
+use cardir_fuzz::checks::ordered_pairs;
 
 fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
     Region::from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]).unwrap()
@@ -70,56 +70,49 @@ fn oracle(regions: &[Region], cache: &RegionCache<'_>) -> Oracle {
     Oracle { relations, percentages }
 }
 
-/// Runs both enumeration strategies over the triple oracle at every
-/// thread count × prefilter setting and checks the outputs bit for bit,
-/// plus the `fused_pairs == exact_pairs` accounting invariant.
+/// Runs both engine paths over the triple oracle at every thread count
+/// and checks the outputs bit for bit, plus the
+/// `fused_pairs == exact_pairs` accounting invariant.
 fn assert_fused_pipeline_cross_validates(regions: &[Region], family: &str) {
     let cache = RegionCache::build(regions);
     let truth = oracle(regions, &cache);
 
+    let all_pairs = ordered_pairs(regions.len());
     for threads in [1usize, 2, 8] {
-        for prefilter in [true, false] {
-            let label = format!("{family}, {threads} threads, prefilter={prefilter}");
-            let engine = BatchEngine::new()
-                .with_mode(EngineMode::Quantitative)
-                .with_threads(threads)
-                .with_prefilter(prefilter);
+        let label = format!("{family}, {threads} threads");
+        let engine =
+            BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
 
-            let all = engine.compute_all(&cache);
-            assert_eq!(all.pairs.len(), truth.relations.len(), "{label}");
-            for (k, got) in all.pairs.iter().enumerate() {
-                assert_eq!(got.relation, truth.relations[k], "{label}, pair #{k}");
-                assert_eq!(
-                    got.percentages.as_ref(),
-                    Some(&truth.percentages[k]),
-                    "{label}, pair #{k}: percentage matrices must be bit-identical"
-                );
-            }
-            // Every exact computation runs over the fused SoA kernels —
-            // including the quantitative N-tile fallback — and nothing
-            // else does.
-            assert_eq!(all.stats.fused_pairs, all.stats.exact_pairs, "{label}: accounting");
-            if !prefilter {
-                assert_eq!(all.stats.fused_pairs, all.stats.pairs, "{label}: accounting");
-            }
-
-            let joined = engine.run_join(&cache, &RunPolicy::default());
-            let out = joined.materialize(&cache);
-            assert_eq!(out.pairs.len(), all.pairs.len(), "{label} (join)");
-            for (k, got) in out.pairs.iter().enumerate() {
-                let got = got.ok().unwrap_or_else(|| panic!("{label}: join pair #{k} failed"));
-                assert_eq!(got.relation, truth.relations[k], "{label} (join), pair #{k}");
-                assert_eq!(
-                    got.percentages.as_ref(),
-                    Some(&truth.percentages[k]),
-                    "{label} (join), pair #{k}"
-                );
-            }
+        let all = engine.run_pairs(&cache, &all_pairs, &RunPolicy::default()).unwrap();
+        assert_eq!(all.pairs.len(), truth.relations.len(), "{label}");
+        for (k, got) in all.pairs.iter().enumerate() {
+            let got = got.ok().unwrap_or_else(|| panic!("{label}: pair #{k} failed"));
+            assert_eq!(got.relation, truth.relations[k], "{label}, pair #{k}");
             assert_eq!(
-                out.stats.fused_pairs, all.stats.fused_pairs,
-                "{label}: the two strategies must fuse the same pair set"
+                got.percentages.as_ref(),
+                Some(&truth.percentages[k]),
+                "{label}, pair #{k}: percentage matrices must be bit-identical"
             );
         }
+        // Every exact computation runs over the fused SoA kernels, and
+        // `run_pairs` takes the exact path for every pair.
+        assert_eq!(all.stats.fused_pairs, all.stats.exact_pairs, "{label}: accounting");
+        assert_eq!(all.stats.fused_pairs, all.stats.pairs, "{label}: accounting");
+
+        let joined = engine.run_join(&cache, &RunPolicy::default());
+        let out = joined.materialize(&cache);
+        assert_eq!(out.pairs.len(), all.pairs.len(), "{label} (join)");
+        for (k, got) in out.pairs.iter().enumerate() {
+            let got = got.ok().unwrap_or_else(|| panic!("{label}: join pair #{k} failed"));
+            assert_eq!(got.relation, truth.relations[k], "{label} (join), pair #{k}");
+            assert_eq!(
+                got.percentages.as_ref(),
+                Some(&truth.percentages[k]),
+                "{label} (join), pair #{k}"
+            );
+        }
+        // Including the quantitative N-tile fallback, and nothing else.
+        assert_eq!(out.stats.fused_pairs, out.stats.exact_pairs, "{label} (join): accounting");
     }
 }
 

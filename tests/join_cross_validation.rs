@@ -1,9 +1,9 @@
-//! Differential lockdown of the spatial join: `run_join` must be
-//! **bit-identical** to `run_all` and to the naive per-pair loop —
-//! relations equal and percentage matrices equal as raw f64s — at every
-//! thread count, with the prefilter on and off, in both modes, on every
-//! adversarial scenario family, and its partition must match the
-//! per-pair `decided_tile` oracle exactly.
+//! Differential lockdown of the spatial join: the materialized `run_join`
+//! must be **bit-identical** to `run_pairs` over every ordered pair (the
+//! exact path for each one) and to the naive per-pair loop — relations
+//! equal and percentage matrices equal as raw f64s — at every thread
+//! count, in both modes, on every adversarial scenario family, and its
+//! partition must match the per-pair `decided_tile` oracle exactly.
 //!
 //! The policy tests pin the join's documented fault semantics: the
 //! `RunPolicy` (deadline, cancellation, panic isolation, failpoints)
@@ -24,6 +24,7 @@ use cardir::engine::{
 use cardir::faults::{self, sites, FaultAction, Trigger};
 use cardir::geometry::{BoundingBox, Point, Region};
 use cardir::workloads::{random_map, SplitMix64};
+use cardir_fuzz::checks::ordered_pairs;
 use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -48,8 +49,9 @@ fn undecided_oracle(cache: &RegionCache<'_>) -> Vec<(u32, u32)> {
 }
 
 /// The full differential: the sweep partition matches the per-pair
-/// oracle, and the materialized join is bit-identical to `run_all` and
-/// to the naive double loop for every thread count × prefilter × mode.
+/// oracle, and the materialized join is bit-identical to the exact path
+/// over every pair and to the naive double loop for every thread count ×
+/// mode.
 fn assert_join_cross_validates(regions: &[Region], label: &str) {
     let cache = RegionCache::build(regions);
     let n = regions.len();
@@ -69,58 +71,51 @@ fn assert_join_cross_validates(regions: &[Region], label: &str) {
             }
         }
         for threads in [1usize, 2, 8] {
-            for prefilter in [true, false] {
-                let sub = format!("{label}, {mode:?}, {threads} threads, prefilter={prefilter}");
-                let engine = BatchEngine::new()
-                    .with_mode(mode)
-                    .with_threads(threads)
-                    .with_prefilter(prefilter);
-                let all = engine.run_all(&cache, &RunPolicy::default());
-                let joined = engine.run_join(&cache, &RunPolicy::default());
+            let sub = format!("{label}, {mode:?}, {threads} threads");
+            let engine = BatchEngine::new().with_mode(mode).with_threads(threads);
+            let exact = engine
+                .run_pairs(&cache, &ordered_pairs(n), &RunPolicy::default())
+                .expect("every ordered pair indexes into the cache");
+            let joined = engine.run_join(&cache, &RunPolicy::default());
 
-                // Partition accounting closes before any materialization.
-                assert_eq!(joined.total(), total, "{sub}");
-                assert_eq!(joined.join.mask_emitted + joined.join.exact_pairs, total, "{sub}");
-                assert_eq!(
-                    joined.succeeded + joined.failed + joined.skipped,
-                    total,
-                    "{sub}: accounting must close"
-                );
-                assert_eq!(joined.interacting.len(), joined.join.exact_pairs, "{sub}");
-                if prefilter {
-                    assert_eq!(joined.join.exact_pairs, interacting.len(), "{sub}");
-                } else {
-                    assert_eq!(joined.join.mask_emitted, 0, "{sub}: nothing sound to emit");
-                }
+            // Partition accounting closes before any materialization.
+            assert_eq!(joined.total(), total, "{sub}");
+            assert_eq!(joined.join.mask_emitted + joined.join.exact_pairs, total, "{sub}");
+            assert_eq!(
+                joined.succeeded + joined.failed + joined.skipped,
+                total,
+                "{sub}: accounting must close"
+            );
+            assert_eq!(joined.interacting.len(), joined.join.exact_pairs, "{sub}");
+            assert_eq!(joined.join.exact_pairs, interacting.len(), "{sub}");
 
-                let out = joined.materialize(&cache);
-                assert_eq!(out.pairs, all.pairs, "{sub}: join ≡ run_all, bit for bit");
-                assert_eq!(out.status, all.status, "{sub}");
-                assert_eq!(
-                    (out.succeeded, out.failed, out.skipped),
-                    (all.succeeded, all.failed, all.skipped),
-                    "{sub}"
-                );
-                // Every counter coincides except `threads` (the join's
-                // exact pass is smaller, so it may use fewer workers).
-                assert_eq!(out.stats.pairs, all.stats.pairs, "{sub}");
-                assert_eq!(out.stats.prefilter_hits, all.stats.prefilter_hits, "{sub}");
-                assert_eq!(out.stats.exact_pairs, all.stats.exact_pairs, "{sub}");
-                assert_eq!(out.stats.edges_scanned, all.stats.edges_scanned, "{sub}");
-                assert_eq!(out.stats.rtree_candidates, all.stats.rtree_candidates, "{sub}");
+            let out = joined.materialize(&cache);
+            assert_eq!(out.status, exact.status, "{sub}");
+            assert_eq!(
+                (out.succeeded, out.failed, out.skipped),
+                (exact.succeeded, exact.failed, exact.skipped),
+                "{sub}"
+            );
+            // The join decides its mask-emitted pairs without edge work;
+            // every other pair scans exactly as the exact path does.
+            assert_eq!(out.stats.pairs, exact.stats.pairs, "{sub}");
+            assert_eq!(exact.stats.exact_pairs, total, "{sub}: run_pairs is all exact");
+            assert_eq!(out.stats.prefilter_hits + out.stats.exact_pairs, total, "{sub}");
+            assert!(out.stats.edges_scanned <= exact.stats.edges_scanned, "{sub}");
 
-                assert_eq!(out.pairs.len(), naive.len(), "{sub}");
-                for (got, (i, j, rel, pct)) in out.pairs.iter().zip(&naive) {
+            for (path, outcome) in [("join", &out), ("exact", &exact)] {
+                assert_eq!(outcome.pairs.len(), naive.len(), "{sub} ({path})");
+                for (got, (i, j, rel, pct)) in outcome.pairs.iter().zip(&naive) {
                     match got {
                         PairOutcome::Ok(pr) => {
-                            assert_eq!((pr.primary, pr.reference), (*i, *j), "{sub}");
-                            assert_eq!(pr.relation, *rel, "{sub}, pair ({i}, {j})");
+                            assert_eq!((pr.primary, pr.reference), (*i, *j), "{sub} ({path})");
+                            assert_eq!(pr.relation, *rel, "{sub} ({path}), pair ({i}, {j})");
                             assert_eq!(
                                 pr.percentages, *pct,
-                                "{sub}, pair ({i}, {j}): matrices must be bit-identical"
+                                "{sub} ({path}), pair ({i}, {j}): matrices must be bit-identical"
                             );
                         }
-                        other => panic!("{sub}, pair ({i}, {j}): not computed: {other:?}"),
+                        other => panic!("{sub} ({path}), pair ({i}, {j}): not computed: {other:?}"),
                     }
                 }
             }
@@ -304,7 +299,7 @@ fn poisoned_exact_pair_is_isolated_and_survivors_match() {
     let cache = RegionCache::build(&regions);
     let total = regions.len() * (regions.len() - 1);
     let engine = BatchEngine::new().with_threads(1);
-    let baseline = engine.run_all(&cache, &RunPolicy::default());
+    let baseline = engine.run_join(&cache, &RunPolicy::default()).materialize(&cache);
     assert_eq!(baseline.status, CompletionStatus::Complete);
 
     let guard = faults::arm(

@@ -12,7 +12,7 @@
 //! relation bit: plain and hooked results are compared exactly.
 
 use cardir_core::{compute_cdr, compute_cdr_hooked, CountingHook};
-use cardir_engine::{BatchEngine, RegionCache};
+use cardir_engine::{BatchEngine, RegionCache, RunPolicy};
 use cardir_geometry::{BoundingBox, Point, Region};
 use cardir_workloads::{random_map, SplitMix64};
 
@@ -86,27 +86,30 @@ fn disabled_hook_is_bit_identical_to_plain() {
 fn engine_stats_are_internally_consistent() {
     let regions = jittered_map(40, 7);
     let cache = RegionCache::build(&regions);
-    let result = BatchEngine::new().with_threads(4).with_detailed_metrics(true).compute_all(&cache);
+    let result = BatchEngine::new()
+        .with_threads(4)
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
     let stats = result.stats;
     assert_eq!(stats.pairs, regions.len() * (regions.len() - 1));
     assert_eq!(stats.prefilter_hits + stats.exact_pairs, stats.pairs);
     assert!(stats.edges_scanned > 0, "some pairs must take the exact path");
-    // Each reference's own box touches all four of its grid lines, so the
-    // four line searches see at least four candidates per reference.
-    assert!(stats.rtree_candidates >= 4 * regions.len());
     let m = &result.metrics;
-    assert_eq!(m.stats, stats);
-    assert_eq!(m.per_thread_pairs.iter().sum::<usize>(), stats.pairs);
+    let join = m.join.expect("a join run reports its partition");
+    // Each region's box contains all four of its own grid coordinates, so
+    // the sweeps see at least four contacts per region.
+    assert!(join.candidates >= 4 * regions.len());
+    // Only the interacting pairs are work items.
+    assert_eq!(m.per_thread_pairs.iter().sum::<usize>(), join.exact_pairs);
     let balance = m.worker_balance();
     assert!(balance > 0.0 && balance <= 1.0, "balance {balance}");
-    let chunks = m.chunk_durations_ns.as_ref().expect("detailed metrics were requested");
-    assert_eq!(chunks.count as usize, stats.pairs.div_ceil(256), "one sample per chunk");
+    let chunks = &m.chunk_durations_ns;
+    assert_eq!(chunks.count as usize, join.exact_pairs.div_ceil(256), "one sample per chunk");
 
     // The exact-path edge tally must equal a replay of the engine's own
     // decisions: k_primary per exact qualitative computation.
     let replay: usize = result
-        .pairs
-        .iter()
+        .relations()
         .filter(|p| !p.via_prefilter)
         .map(|p| cache.edge_count(p.primary))
         .sum();
@@ -117,9 +120,12 @@ fn engine_stats_are_internally_consistent() {
 fn engine_metrics_export_feeds_the_registry() {
     let regions = jittered_map(20, 3);
     let cache = RegionCache::build(&regions);
-    let result = BatchEngine::new().with_threads(2).compute_all(&cache);
+    let result = BatchEngine::new()
+        .with_threads(2)
+        .run_join(&cache, &RunPolicy::default())
+        .materialize(&cache);
     let registry = cardir_telemetry::Registry::new();
-    result.metrics.export(&registry);
+    result.metrics.export(&result.stats, &registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.pairs"), Some(result.stats.pairs as u64));
     assert_eq!(snap.counter("engine.runs"), Some(1));
