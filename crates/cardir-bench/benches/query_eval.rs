@@ -1,5 +1,5 @@
-//! A2 — ablation: CARDIRECT query evaluation with and without the R-tree
-//! filter step, and with and without precomputed relations.
+//! A2 — ablation: CARDIRECT query evaluation with and without the MBB
+//! hull filter step, and with and without precomputed relations.
 
 use cardir_bench::bench_case;
 use cardir_cardirect::{evaluate, evaluate_indexed, parse_query, Configuration, RegionIndex};
@@ -34,7 +34,7 @@ fn main() {
         bench_case(&format!("scan/{n}"), 0, || {
             let _ = black_box(evaluate(black_box(&query), black_box(&config)));
         });
-        bench_case(&format!("rtree/{n}"), 0, || {
+        bench_case(&format!("indexed/{n}"), 0, || {
             let _ = black_box(evaluate_indexed(black_box(&query), black_box(&config), black_box(&index)));
         });
         // Precomputed relations: lookups dominate.

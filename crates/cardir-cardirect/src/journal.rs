@@ -45,9 +45,13 @@
 //! truncated silently; a checksum mismatch on a *complete* record means
 //! the bytes changed under us and degrades to a full recompute, reported
 //! via [`ReplaySource::Rebuilt`]. Replay never panics and never installs
-//! unvalidated state: decoded pairs pass through
-//! [`IncrementalEngine::from_parts`]-style validation, so corrupt-but-
-//! checksummed state is rejected rather than served.
+//! unvalidated state: every decoded pair — in snapshot, apply and repair
+//! records alike — must name two live slots that interact under the
+//! geometry it lands on ([`IncrementalEngine::from_parts`],
+//! [`IncrementalEngine::replay_apply`] and
+//! [`IncrementalEngine::replay_repair`] check it), so corrupt-but-
+//! checksummed state is rejected as [`RebuildReason::Corrupt`] rather
+//! than served.
 //!
 //! Every IO step carries a `cardir-faults` failpoint (`journal.append`,
 //! `journal.compact.write`, `journal.compact.rename`, `journal.replay`),
@@ -606,7 +610,7 @@ impl RelationStore {
                     let engine = engine.as_mut().ok_or_else(|| {
                         corrupt("repair record before any snapshot".to_string())
                     })?;
-                    engine.replay_repair(installed);
+                    engine.replay_repair(installed).map_err(|e| corrupt(e.to_string()))?;
                 }
             }
             records += 1;
@@ -1204,6 +1208,94 @@ mod tests {
         assert_eq!(snap.counter("incremental.replay.rebuilt-missing"), Some(1));
         assert!(snap.counter("incremental.journal_bytes").unwrap() > HEADER_LEN);
         cleanup(&path);
+    }
+
+    /// Opens a store over `base()`, appends `payload` as one checksummed
+    /// frame behind the store's own records, and reopens it.
+    fn reopen_with_record(tag: &str, payload: &[u8]) -> RelationStore {
+        let path = scratch(tag);
+        cleanup(&path);
+        drop(RelationStore::open(&path, &base(), StoreOptions::default()));
+        let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&encode_frame(payload)).unwrap();
+        drop(file);
+        let reopened = RelationStore::open(&path, &base(), StoreOptions::default());
+        cleanup(&path);
+        reopened
+    }
+
+    fn crafted_apply(
+        kind: EditKind,
+        id: u32,
+        region: Option<Region>,
+        installed: Vec<InstalledPair>,
+        pending_added: Vec<(u32, u32)>,
+    ) -> Vec<u8> {
+        encode_apply(&ApplyDelta {
+            id,
+            kind,
+            region,
+            installed,
+            pending_added,
+            invalidated: 0,
+            dropped: 0,
+            status: cardir_engine::CompletionStatus::Complete,
+        })
+    }
+
+    fn exact_pair(primary: u32, reference: u32) -> InstalledPair {
+        InstalledPair {
+            primary,
+            reference,
+            relation: CardinalRelation::single(cardir_core::Tile::B),
+            percentages: None,
+        }
+    }
+
+    /// The reopened store fell back to a full recompute of the base.
+    fn assert_rebuilt_from_base(store: &RelationStore) {
+        let report = store.replay_report();
+        assert_eq!(report.source, ReplaySource::Rebuilt(RebuildReason::Corrupt));
+        let detail = report.detail.as_deref().expect("detail names the record");
+        assert!(detail.contains("contradicts the geometry"), "{detail}");
+        let opts = StoreOptions::default();
+        let full =
+            IncrementalEngine::bootstrap(opts.mode, opts.threads, base(), &RunPolicy::default());
+        assert_same_state(store.engine(), &full);
+    }
+
+    #[test]
+    fn apply_record_naming_an_unknown_slot_is_corrupt() {
+        // Installing (9, 0) would index slot 9's row in a 4-slot table.
+        let moved = Some(rect(1.0, 1.0, 9.0, 9.0));
+        let payload =
+            crafted_apply(EditKind::Replace, 0, moved, vec![exact_pair(9, 0)], Vec::new());
+        assert_rebuilt_from_base(&reopen_with_record("unknown-slot", &payload));
+    }
+
+    #[test]
+    fn apply_record_parking_a_dead_slot_is_corrupt() {
+        // A pending pair naming the slot the record removes would reach
+        // a repair pass that needs its geometry.
+        let payload = crafted_apply(EditKind::Remove, 1, None, Vec::new(), vec![(0, 1)]);
+        assert_rebuilt_from_base(&reopen_with_record("dead-slot", &payload));
+    }
+
+    #[test]
+    fn apply_record_storing_a_box_decided_pair_is_corrupt() {
+        // Slot 0 moves far from slot 1, so (0, 1) is box-decided and a
+        // stored "exact" value for it would be served instead of the box
+        // answer.
+        let far = Some(rect(100.0, 100.0, 110.0, 110.0));
+        let payload = crafted_apply(EditKind::Replace, 0, far, vec![exact_pair(0, 1)], Vec::new());
+        assert_rebuilt_from_base(&reopen_with_record("decided-apply", &payload));
+    }
+
+    #[test]
+    fn repair_record_storing_a_box_decided_pair_is_corrupt() {
+        // Slots 0 and 2 of the base are far apart.
+        let payload = encode_repair(&[exact_pair(0, 2)]);
+        assert_rebuilt_from_base(&reopen_with_record("decided-repair", &payload));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   writer and parser);
 //! * [`query`] — the conjunctive query language over thematic attributes
 //!   and (possibly disjunctive) cardinal direction predicates, with an
-//!   optional R-tree-accelerated evaluator;
+//!   optional evaluator that prunes candidates by their MBBs;
 //! * [`journal`] — a crash-safe append-only relation journal backing the
 //!   incremental engine: edit a region, journal the delta, replay after
 //!   any crash.

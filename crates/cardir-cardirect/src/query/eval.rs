@@ -1,11 +1,16 @@
-//! Query evaluation: backtracking join with unary pre-filtering, plus an
-//! R-tree-accelerated variant.
+//! Query evaluation: backtracking join with unary pre-filtering, plus a
+//! variant that prunes direction candidates by their MBBs.
+//!
+//! The pruning is the GIS filter step over one flat column of region
+//! MBBs: a direction conjunct `a R b` with `b` bound keeps only the
+//! candidates whose box meets the hull of `R`'s tiles around `mbb(b)`.
+//! A linear scan of the column is the whole index; the candidate stream
+//! it filters is linear in the region count anyway.
 
 use super::ast::{Condition, Query};
 use crate::model::Configuration;
 use cardir_core::CardinalRelation;
 use cardir_geometry::{Band, BoundingBox, Point};
-use cardir_index::RTree;
 use cardir_reasoning::DisjunctiveRelation;
 use std::collections::HashMap;
 use std::fmt;
@@ -48,14 +53,14 @@ pub struct ConjunctStats {
 }
 
 /// What evaluating one query cost: how many candidate bindings were
-/// generated, how many the R-tree pruned before any relation check, and
+/// generated, how many the MBB hull test pruned before any relation check, and
 /// how each direction conjunct filtered the rest.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EvalStats {
     /// Candidate bindings actually tried (post-pruning), across all
     /// variables of the backtracking join.
     pub candidates_considered: usize,
-    /// Candidates skipped by the R-tree hull mask without any relation
+    /// Candidates skipped by the MBB hull mask without any relation
     /// computation — the filter step's savings.
     pub index_pruned: usize,
     /// Tried bindings rejected by a direction check.
@@ -66,28 +71,24 @@ pub struct EvalStats {
     pub conjuncts: Vec<ConjunctStats>,
 }
 
-/// An R-tree over a configuration's region bounding boxes, used to prune
-/// direction-condition candidates (the GIS filter step).
+/// A configuration's region bounding boxes in declaration order, used to
+/// prune direction-condition candidates (the GIS filter step).
 pub struct RegionIndex {
-    tree: RTree<usize>,
+    mbbs: Vec<BoundingBox>,
 }
 
 impl RegionIndex {
     /// Builds the index for a configuration.
     pub fn build(config: &Configuration) -> Self {
-        let mut tree = RTree::new();
-        for (i, r) in config.regions().iter().enumerate() {
-            tree.insert(r.region.mbb(), i);
-        }
-        RegionIndex { tree }
+        RegionIndex { mbbs: config.regions().iter().map(|r| r.region.mbb()).collect() }
     }
 
-    /// Candidate region indices whose mbb intersects the hull of the
-    /// relation's tiles relative to `reference_mbb` — a necessary
-    /// condition for `candidate R reference` with any `R` in the set.
-    fn candidates(&self, relation: &DisjunctiveRelation, reference_mbb: BoundingBox) -> Vec<usize> {
+    /// Marks the regions whose mbb intersects the hull of the relation's
+    /// tiles relative to `reference_mbb` — a necessary condition for
+    /// `candidate R reference` with any `R` in the set.
+    fn candidates(&self, relation: &DisjunctiveRelation, reference_mbb: BoundingBox) -> Vec<bool> {
         let hull = relation_hull(relation, reference_mbb);
-        self.tree.search(hull).into_iter().copied().collect()
+        self.mbbs.iter().map(|&mbb| hull.intersects(mbb)).collect()
     }
 }
 
@@ -151,7 +152,7 @@ pub fn evaluate(query: &Query, config: &Configuration) -> Result<Vec<Binding>, E
     evaluate_impl(query, config, None).map(|(b, _)| b)
 }
 
-/// [`evaluate`], with R-tree pruning of direction-condition candidates.
+/// [`evaluate`], with MBB pruning of direction-condition candidates.
 pub fn evaluate_indexed(
     query: &Query,
     config: &Configuration,
@@ -170,7 +171,7 @@ pub fn evaluate_with_stats(
 }
 
 /// [`evaluate_indexed`], also reporting [`EvalStats`] — in particular
-/// `index_pruned`, the candidates the R-tree removed.
+/// `index_pruned`, the candidates the MBB hull test removed.
 pub fn evaluate_indexed_with_stats(
     query: &Query,
     config: &Configuration,
@@ -280,18 +281,14 @@ fn search(
         results.push(binding.iter().map(|b| b.expect("all bound")).collect());
         return;
     }
-    // Candidate mask, optionally narrowed by the R-tree using direction
-    // conditions whose other end is already bound.
+    // Candidate mask, optionally narrowed by the MBB hull test using
+    // direction conditions whose other end is already bound.
     let mut narrowed: Option<Vec<bool>> = None;
     if let Some(idx) = index {
         for &(p, rel, r) in directions {
             if p == var {
                 if let Some(Some(bound_ref)) = binding.get(r).copied() {
-                    let mbb = config.regions()[bound_ref].region.mbb();
-                    let mut mask = vec![false; config.len()];
-                    for hit in idx.candidates(rel, mbb) {
-                        mask[hit] = true;
-                    }
+                    let mask = idx.candidates(rel, idx.mbbs[bound_ref]);
                     narrowed = Some(match narrowed {
                         None => mask,
                         Some(prev) => prev.iter().zip(&mask).map(|(a, b)| *a && *b).collect(),
@@ -459,7 +456,7 @@ mod tests {
     fn indexed_stats_show_pruning_without_changing_answers() {
         let c = strip();
         let index = RegionIndex::build(&c);
-        // The primary binds after the reference, so the R-tree hull mask
+        // The primary binds after the reference, so the MBB hull mask
         // can prune y candidates once x is bound.
         let q = parse_query("{(x, y) | y W x}").unwrap();
         let (plain_answers, plain) = evaluate_with_stats(&q, &c).unwrap();

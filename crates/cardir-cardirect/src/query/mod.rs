@@ -18,8 +18,9 @@
 //!
 //! [`parse_query`] builds the AST; [`evaluate`] runs it over a
 //! [`crate::Configuration`] by backtracking join with unary pre-filtering;
-//! [`evaluate_indexed`] additionally prunes direction candidates with an
-//! R-tree over region bounding boxes (the classic GIS filter step).
+//! [`evaluate_indexed`] additionally prunes direction candidates by
+//! testing each region's bounding box against the hull of the relation's
+//! tiles (the classic GIS filter step, over a flat column of MBBs).
 
 mod ast;
 mod eval;

@@ -16,6 +16,9 @@
 //! append-only and never reused: a removed region leaves a `None` hole.
 //! That makes an edit script replayable record by record — the id a
 //! journal assigned at insert time still names the same slot on replay.
+//! Beside the slot table the engine keeps one flat column of per-slot
+//! MBBs (`None` for removed slots); every box decision the engine makes
+//! reads it.
 //!
 //! Relations are stored sparsely, mirroring the spatial join's
 //! partition:
@@ -38,20 +41,19 @@
 //! For an edit of region `r`, a pair `(a, b)` not involving `r` cannot
 //! change: its relation depends only on `a`'s geometry and `b`'s MBB.
 //! So the invalidation set is the ordered pairs involving `r` — at most
-//! `2·(N−1)` of `N·(N−1)`. Of those, only the pairs that *interact*
-//! under the new geometry need edge work; they are discovered by
-//! stabbing the old ∪ new MBB's axis bands through the R-tree:
-//! `(r, x)` or `(x, r)` interacts only if `x`'s closed x-interval
-//! overlaps `r`'s (one of them contains an endpoint of the other — so
-//! `x`'s box meets the infinite vertical band over `r`'s x-span) or
-//! likewise on y. Two band queries bound the candidate set; the exact
-//! [`decided_tile`] test on current MBBs then picks the interacting
-//! ordered pairs among them.
+//! `2·(N−1)` of `N·(N−1)`. Whether such a pair needs edge work is a
+//! pure function of the two boxes, so one pass over the MBB column finds
+//! the *interacting* ones: `(r, x)` or `(x, r)` interacts only if `x`'s
+//! closed x-interval overlaps `r`'s (one of them contains an endpoint of
+//! the other) or likewise on y, and among those boxes the exact
+//! [`decided_tile`] test picks the interacting ordered pairs.
 //!
-//! The R-tree has no remove, so edits insert the new MBB and leave the
-//! stale one behind as a tombstone; candidates are filtered by liveness
-//! and the decided-tile test, making staleness a cost concern only, and
-//! the tree is rebuilt from live boxes once tombstones outnumber them.
+//! The same pass serves both halves of an edit. Run on `r`'s *old* box
+//! before the geometry changes, it lists every pair that can hold a
+//! stored or pending value — exact because stored ∪ pending pairs are
+//! always interacting under the current geometry (every entry point,
+//! journal replay included, checks that) — so those are dropped. Run on
+//! the *new* box, it lists the pairs to recompute.
 //!
 //! # Structural sharing
 //!
@@ -60,15 +62,15 @@
 //! pending set is one `Arc`'d set. [`IncrementalEngine::snapshot`]
 //! therefore copies only the outer vectors of pointers, and writers
 //! mutate through [`Arc::make_mut`]: an edit of slot `r` copies the rows
-//! of `r`'s partners that hold a pair with `r` (its own row is rebuilt,
-//! not copied) and nothing else, however many snapshots still hold the
+//! of the slots that hold a pair with `r` (its own row is rebuilt, not
+//! copied) and nothing else, however many snapshots still hold the
 //! previous epoch. Publication costs O(slots) pointer copies plus
 //! O(edit) row copies instead of a deep copy of every region and pair.
 //!
 //! # Bit-identity
 //!
 //! Recomputation builds a mini [`RegionCache`] over just the edited
-//! region and its interacting partners and runs
+//! region and the regions it interacts with and runs
 //! [`BatchEngine::run_pairs`], which takes the exact path for every
 //! listed pair — as a full join would, since every listed pair is
 //! interacting. The exact kernels depend only on the primary's edges and
@@ -81,10 +83,9 @@ use crate::cache::RegionCache;
 use crate::policy::{BatchOutcome, CompletionStatus, FaultTally, RunPolicy};
 use crate::prefilter::decided_tile;
 use cardir_core::{CardinalRelation, PercentageMatrix};
-use cardir_geometry::{BoundingBox, Point, Region};
-use cardir_index::RTree;
+use cardir_geometry::{BoundingBox, Region};
 use cardir_telemetry::Registry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -126,6 +127,9 @@ pub enum EditError {
         /// The slot id the state would assign.
         found: u32,
     },
+    /// A replayed record carries a pair that is not interacting under
+    /// the geometry it replays onto.
+    Inconsistent(IncrementalError),
 }
 
 impl fmt::Display for EditError {
@@ -136,6 +140,7 @@ impl fmt::Display for EditError {
             EditError::ReplayMismatch { expected, found } => {
                 write!(f, "replayed record names slot {expected} but state assigns {found}")
             }
+            EditError::Inconsistent(e) => write!(f, "replayed record: {e}"),
         }
     }
 }
@@ -236,8 +241,6 @@ pub struct IncrementalStats {
     pub pairs_reused: u64,
     /// Repair passes run.
     pub repairs: u64,
-    /// R-tree rebuilds triggered by tombstone accumulation.
-    pub rtree_rebuilds: u64,
 }
 
 /// The incremental engine: current regions plus the delta-maintained
@@ -248,6 +251,9 @@ pub struct IncrementalEngine {
     threads: usize,
     /// Slot-keyed regions; `None` marks a removed slot (never reused).
     slots: Vec<Option<Arc<Region>>>,
+    /// Each slot's MBB, `None` where the slot is removed: the column
+    /// discovery and invalidation scan.
+    mbbs: Vec<Option<BoundingBox>>,
     live: usize,
     /// Interacting ordered pairs with their computed values: row `a`
     /// maps reference `b` to the value of `(a, b)`. One row per slot.
@@ -256,15 +262,6 @@ pub struct IncrementalEngine {
     exact_len: usize,
     /// Interacting ordered pairs awaiting repair.
     pending: Arc<BTreeSet<(u32, u32)>>,
-    /// Undirected adjacency: `x ∈ partners[r]` iff some stored pair
-    /// (exact or pending) involves both `r` and `x`. Bounds the
-    /// invalidation walk by the edited region's degree.
-    partners: BTreeMap<u32, BTreeSet<u32>>,
-    /// R-tree over current MBBs, with tombstoned stale entries.
-    rtree: RTree<u32>,
-    /// Entries in the tree that no longer describe a live slot's
-    /// current MBB.
-    stale: usize,
     stats: IncrementalStats,
     /// Fault events absorbed across all recompute passes.
     faults: FaultTally,
@@ -519,21 +516,11 @@ impl IncrementalEngine {
     ) -> Result<Self, IncrementalError> {
         let mut engine = IncrementalEngine::empty(mode, threads);
         engine.set_slots(slots);
-        let check = |engine: &IncrementalEngine, a: u32, b: u32| {
-            let bad = IncrementalError::InconsistentState { primary: a, reference: b };
-            let ma = engine.live_mbb(a).ok_or_else(|| bad.clone())?;
-            let mb = engine.live_mbb(b).ok_or_else(|| bad.clone())?;
-            if a == b || decided_tile(ma, mb).is_some() {
-                return Err(bad);
-            }
-            Ok(())
-        };
+        engine.check_pairs(&exact, &pending)?;
         for entry in exact {
-            check(&engine, entry.primary, entry.reference)?;
             engine.install(entry.primary, entry.reference, entry.relation, entry.percentages);
         }
         for (a, b) in pending {
-            check(&engine, a, b)?;
             engine.park(a, b);
         }
         Ok(engine)
@@ -544,25 +531,21 @@ impl IncrementalEngine {
             mode,
             threads: threads.max(1),
             slots: Vec::new(),
+            mbbs: Vec::new(),
             live: 0,
             exact: Vec::new(),
             exact_len: 0,
             pending: Arc::default(),
-            partners: BTreeMap::new(),
-            rtree: RTree::new(),
-            stale: 0,
             stats: IncrementalStats::default(),
             faults: FaultTally::default(),
         }
     }
 
-    /// Fills an empty engine's slot table, R-tree and (empty) rows.
+    /// Fills an empty engine's slot table, MBB column and (empty) rows.
     fn set_slots(&mut self, slots: Vec<Option<Region>>) {
-        for (id, region) in slots.into_iter().enumerate() {
-            if let Some(region) = &region {
-                self.rtree.insert(region.mbb(), id as u32);
-                self.live += 1;
-            }
+        for region in slots {
+            self.mbbs.push(region.as_ref().map(Region::mbb));
+            self.live += usize::from(region.is_some());
             self.slots.push(region.map(Arc::new));
         }
         // One shared empty row; the first install into a slot's row
@@ -667,7 +650,31 @@ impl IncrementalEngine {
     }
 
     fn live_mbb(&self, slot: u32) -> Option<BoundingBox> {
-        self.region(slot).map(Region::mbb)
+        self.mbbs.get(slot as usize).copied().flatten()
+    }
+
+    /// `Ok` when `(a, b)` names two distinct live slots that interact
+    /// under the current geometry — the only pairs the engine may store
+    /// as exact or pending.
+    fn check_interacting(&self, a: u32, b: u32) -> Result<(), IncrementalError> {
+        match (self.live_mbb(a), self.live_mbb(b)) {
+            (Some(ma), Some(mb)) if a != b && decided_tile(ma, mb).is_none() => Ok(()),
+            _ => Err(IncrementalError::InconsistentState { primary: a, reference: b }),
+        }
+    }
+
+    /// [`check_interacting`](Self::check_interacting) over externally
+    /// supplied exact and pending pairs.
+    fn check_pairs(
+        &self,
+        exact: &[InstalledPair],
+        pending: &[(u32, u32)],
+    ) -> Result<(), IncrementalError> {
+        exact
+            .iter()
+            .map(|e| (e.primary, e.reference))
+            .chain(pending.iter().copied())
+            .try_for_each(|(a, b)| self.check_interacting(a, b))
     }
 
     /// Applies an edit under the default policy.
@@ -719,7 +726,11 @@ impl IncrementalEngine {
 
     /// Replays a recorded delta without recomputation: same invalidation
     /// and geometry bookkeeping as [`apply_with`](Self::apply_with), but
-    /// the stored pairs are installed verbatim from the record.
+    /// the stored pairs are installed from the record after checking
+    /// that each names two live slots interacting under the new
+    /// geometry ([`EditError::Inconsistent`] otherwise). After an error
+    /// the engine may hold the record's geometry without its pairs and
+    /// must be discarded.
     pub fn replay_apply(
         &mut self,
         kind: EditKind,
@@ -742,6 +753,7 @@ impl IncrementalEngine {
         }
         self.invalidate(id);
         self.update_geometry(id, kind, region);
+        self.check_pairs(&installed, &pending_added).map_err(EditError::Inconsistent)?;
         let neighbours = if kind == EditKind::Remove { self.live } else { self.live - 1 };
         self.stats.edits_applied += 1;
         self.stats.pairs_invalidated += (2 * neighbours) as u64;
@@ -756,11 +768,14 @@ impl IncrementalEngine {
     }
 
     /// Replays a recorded repair: moves the recorded pairs from pending
-    /// to exact verbatim.
-    pub fn replay_repair(&mut self, installed: Vec<InstalledPair>) {
+    /// to exact, after checking that each names two live slots that
+    /// interact (the engine is left unchanged when one does not).
+    pub fn replay_repair(&mut self, installed: Vec<InstalledPair>) -> Result<(), IncrementalError> {
+        self.check_pairs(&installed, &[])?;
         for entry in installed {
             self.install(entry.primary, entry.reference, entry.relation, entry.percentages);
         }
+        Ok(())
     }
 
     /// Recomputes every pending pair under the default policy.
@@ -805,7 +820,6 @@ impl IncrementalEngine {
             ("incremental.pairs_recomputed", s.pairs_recomputed),
             ("incremental.pairs_reused", s.pairs_reused),
             ("incremental.repairs", s.repairs),
-            ("incremental.rtree_rebuilds", s.rtree_rebuilds),
             ("incremental.live_regions", self.live as u64),
             ("incremental.exact_stored", self.exact_len as u64),
             ("incremental.pending_pairs", self.pending.len() as u64),
@@ -837,30 +851,24 @@ impl IncrementalEngine {
     }
 
     /// Drops every stored pair involving `id`; returns how many exact
-    /// entries were discarded. Copies (if shared) only the rows of
-    /// `id`'s partners that hold a pair with `id`; `id`'s own row is
-    /// replaced by an empty one, not copied.
+    /// entries were discarded. Runs before the geometry changes, so
+    /// [`discover`](Self::discover) on the old box lists every pair that
+    /// can hold a value. Copies (if shared) only the rows that hold a
+    /// pair with `id`; `id`'s own row is replaced by an empty one, not
+    /// copied.
     fn invalidate(&mut self, id: u32) -> usize {
-        let neighbours = self.partners.remove(&id).unwrap_or_default();
-        // Every entry in `id`'s row is a pair `(id, x)` with `x` a
-        // partner. (An insert's slot has no row yet.)
-        let mut dropped =
-            self.exact.get_mut(id as usize).map_or(0, |row| std::mem::take(row).0.len());
-        for x in neighbours {
-            if self.exact[x as usize].get(id).is_some() {
-                Arc::make_mut(&mut self.exact[x as usize]).remove(id);
+        // An insert's slot has no row and no box yet.
+        if self.live_mbb(id).is_none() {
+            return 0;
+        }
+        let mut dropped = std::mem::take(&mut self.exact[id as usize]).0.len();
+        for (a, b) in self.discover(id) {
+            if a != id && self.exact[a as usize].get(id).is_some() {
+                Arc::make_mut(&mut self.exact[a as usize]).remove(id);
                 dropped += 1;
             }
-            if self.pending.contains(&(id, x)) || self.pending.contains(&(x, id)) {
-                let pending = Arc::make_mut(&mut self.pending);
-                pending.remove(&(id, x));
-                pending.remove(&(x, id));
-            }
-            if let Some(set) = self.partners.get_mut(&x) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.partners.remove(&x);
-                }
+            if self.pending.contains(&(a, b)) {
+                Arc::make_mut(&mut self.pending).remove(&(a, b));
             }
         }
         self.exact_len -= dropped;
@@ -868,75 +876,37 @@ impl IncrementalEngine {
     }
 
     fn update_geometry(&mut self, id: u32, kind: EditKind, region: Option<Region>) {
+        let mbb = region.as_ref().map(Region::mbb);
+        let region = region.map(Arc::new);
+        if kind == EditKind::Insert {
+            self.slots.push(region);
+            self.mbbs.push(mbb);
+            self.exact.push(Row::default());
+        } else {
+            self.slots[id as usize] = region;
+            self.mbbs[id as usize] = mbb;
+        }
         match kind {
-            EditKind::Insert => {
-                let region = region.expect("insert carries geometry");
-                let mbb = region.mbb();
-                self.slots.push(Some(Arc::new(region)));
-                self.exact.push(Row::default());
-                self.live += 1;
-                self.rtree.insert(mbb, id);
-            }
-            EditKind::Remove => {
-                self.slots[id as usize] = None;
-                self.live -= 1;
-                self.stale += 1;
-            }
-            EditKind::Replace => {
-                let region = region.expect("replace carries geometry");
-                let mbb = region.mbb();
-                self.slots[id as usize] = Some(Arc::new(region));
-                self.rtree.insert(mbb, id);
-                self.stale += 1;
-            }
-        }
-        if self.stale > self.live + 16 {
-            self.rebuild_rtree();
+            EditKind::Insert => self.live += 1,
+            EditKind::Remove => self.live -= 1,
+            EditKind::Replace => {}
         }
     }
 
-    fn rebuild_rtree(&mut self) {
-        let mut tree = RTree::new();
-        for (id, region) in self.live_regions() {
-            tree.insert(region.mbb(), id);
-        }
-        self.rtree = tree;
-        self.stale = 0;
-        self.stats.rtree_rebuilds += 1;
-    }
-
-    /// Finds the interacting ordered pairs involving `id` under its new
-    /// geometry: two infinite band queries over the R-tree bound the
-    /// candidates (any region overlapping `id`'s x- or y-interval), and
-    /// the decided-tile test on current MBBs picks the pairs that
-    /// actually need edge work.
+    /// The interacting ordered pairs between `id` and every other live
+    /// slot under the current MBB column, sorted: one pass that skips a
+    /// box unless its closed x- or y-interval overlaps `id`'s (a pair
+    /// can interact only then), then applies [`decided_tile`] both ways.
     fn discover(&self, id: u32) -> Vec<(u32, u32)> {
         let m = self.live_mbb(id).expect("discover runs on a live slot");
-        let bands = [
-            BoundingBox::new(
-                Point::new(m.min.x, f64::NEG_INFINITY),
-                Point::new(m.max.x, f64::INFINITY),
-            ),
-            BoundingBox::new(
-                Point::new(f64::NEG_INFINITY, m.min.y),
-                Point::new(f64::INFINITY, m.max.y),
-            ),
-        ];
-        let mut candidates: BTreeSet<u32> = BTreeSet::new();
-        for band in bands {
-            self.rtree.visit(band, &mut |&x| {
-                candidates.insert(x);
-            });
-        }
         let mut pairs = Vec::new();
-        for x in candidates {
-            if x == id {
+        for (x, mx) in self.mbbs.iter().enumerate() {
+            let (x, Some(mx)) = (x as u32, *mx) else { continue };
+            let overlaps = (mx.min.x <= m.max.x && m.min.x <= mx.max.x)
+                || (mx.min.y <= m.max.y && m.min.y <= mx.max.y);
+            if x == id || !overlaps {
                 continue;
             }
-            // Tombstoned entries may surface dead slots or stale boxes;
-            // the liveness filter and the decided-tile test on *current*
-            // MBBs make them harmless.
-            let Some(mx) = self.live_mbb(x) else { continue };
             if decided_tile(m, mx).is_none() {
                 pairs.push((id, x));
             }
@@ -1016,18 +986,11 @@ impl IncrementalEngine {
         if row.insert(b, StoredPair { relation, percentages }) {
             self.exact_len += 1;
         }
-        self.link(a, b);
     }
 
     /// Parks `(a, b)` in the pending set until a repair recomputes it.
     fn park(&mut self, a: u32, b: u32) {
         Arc::make_mut(&mut self.pending).insert((a, b));
-        self.link(a, b);
-    }
-
-    fn link(&mut self, a: u32, b: u32) {
-        self.partners.entry(a).or_default().insert(b);
-        self.partners.entry(b).or_default().insert(a);
     }
 }
 
@@ -1035,6 +998,7 @@ impl IncrementalEngine {
 mod tests {
     use super::*;
     use crate::batch::BatchEngine;
+    use cardir_geometry::Point;
     use cardir_workloads::{random_map, SplitMix64};
 
     fn extent() -> BoundingBox {
@@ -1173,21 +1137,20 @@ mod tests {
     }
 
     #[test]
-    fn rtree_rebuild_keeps_answers_correct() {
+    fn many_replaces_keep_answers_correct() {
         let mut engine = IncrementalEngine::bootstrap(
             EngineMode::Qualitative,
             1,
             map(31, 10),
             &RunPolicy::default(),
         );
-        // Enough replaces to out-tombstone the live count.
+        // Four replaces per live region.
         let mut rng = SplitMix64::seed_from_u64(5);
         for replacement in map(37, 40) {
             let live: Vec<u32> = engine.live_regions().map(|(id, _)| id).collect();
             let victim = live[rng.random_range(0..live.len() as u64) as usize];
             engine.apply(Edit::Replace(victim, replacement)).expect("applies");
         }
-        assert!(engine.stats().rtree_rebuilds > 0, "tombstones must trigger a rebuild");
         assert_matches_full(&engine);
     }
 
@@ -1300,15 +1263,17 @@ mod tests {
         );
         let id = 500;
         let before = engine.snapshot();
-        let mut touched = engine.partners.get(&id).cloned().unwrap_or_default();
+        // The slots interacting with `id` under its old and its new box.
+        let mut touched: BTreeSet<u32> =
+            engine.discover(id).into_iter().flat_map(|(a, b)| [a, b]).collect();
         // An in-cell move: a small nudge that keeps the region in its
         // grid cell.
         let moved = engine.region(id).expect("live").translated(0.25, -0.25);
         engine.apply(Edit::Replace(id, moved)).expect("applies");
         let after = engine.snapshot();
-        touched.extend(engine.partners.get(&id).into_iter().flatten());
+        touched.extend(engine.discover(id).into_iter().flat_map(|(a, b)| [a, b]));
         touched.insert(id);
-        assert!(touched.len() > 1, "the edited slot has partners");
+        assert!(touched.len() > 1, "the edited slot interacts with others");
         let mut shared_rows = 0;
         for slot in 0..1000u32 {
             let i = slot as usize;
@@ -1346,6 +1311,80 @@ mod tests {
         assert_eq!(snap.pending_count(), 2);
         assert!(snap.relation(0, 1).is_none(), "pending pairs are excluded from reads");
         assert_eq!(snap.materialize().unwrap_err(), IncrementalError::PendingPairs(2));
+    }
+
+    #[test]
+    fn edits_drop_pending_pairs_found_from_the_old_box() {
+        let near = || rect(0.0, 0.0, 10.0, 10.0);
+        let mut engine = IncrementalEngine::bootstrap(
+            EngineMode::Qualitative,
+            1,
+            vec![near(), rect(5.0, 5.0, 15.0, 15.0)],
+            &RunPolicy::default(),
+        );
+        let park = |engine: &mut IncrementalEngine| {
+            engine
+                .replay_apply(EditKind::Replace, 0, Some(near()), Vec::new(), vec![(0, 1), (1, 0)])
+                .expect("replays");
+            assert_eq!(engine.pending_count(), 2);
+        };
+        // Moving slot 0 far away: the pending pairs are interacting only
+        // under the old box, so only the old box's discovery finds them.
+        park(&mut engine);
+        let far = rect(100.0, 100.0, 110.0, 110.0);
+        let delta = engine.apply(Edit::Replace(0, far.clone())).expect("applies");
+        assert!(delta.installed.is_empty() && delta.pending_added.is_empty());
+        assert_eq!(engine.pending_count(), 0);
+        let tile = decided_tile(far.mbb(), engine.region(1).expect("live").mbb());
+        assert_eq!(engine.relation(0, 1), tile.map(CardinalRelation::single));
+        assert!(tile.is_some(), "the pair is box-decided");
+        assert_matches_full(&engine);
+        // Removing the other end drops them too.
+        park(&mut engine);
+        engine.apply(Edit::Remove(1)).expect("applies");
+        assert_eq!(engine.pending_count(), 0);
+        assert_eq!(engine.exact_count(), 0);
+        assert!(engine.relation(0, 1).is_none());
+        assert_matches_full(&engine);
+    }
+
+    #[test]
+    fn replay_rejects_pairs_that_do_not_interact() {
+        let slots = || vec![rect(0.0, 0.0, 10.0, 10.0), rect(5.0, 5.0, 15.0, 15.0)];
+        let pair = |primary, reference| InstalledPair {
+            primary,
+            reference,
+            relation: CardinalRelation::single(cardir_core::Tile::B),
+            percentages: None,
+        };
+        let bad = |primary, reference| {
+            EditError::Inconsistent(IncrementalError::InconsistentState { primary, reference })
+        };
+        let fresh = || {
+            IncrementalEngine::bootstrap(EngineMode::Qualitative, 1, slots(), &RunPolicy::default())
+        };
+        let far = || Some(rect(100.0, 100.0, 110.0, 110.0));
+        // Out of range, box-decided under the new geometry, self-pair.
+        let mut engine = fresh();
+        let err = engine.replay_apply(EditKind::Replace, 0, far(), vec![pair(0, 9)], Vec::new());
+        assert_eq!(err.unwrap_err(), bad(0, 9));
+        let mut engine = fresh();
+        let err = engine.replay_apply(EditKind::Replace, 0, far(), vec![pair(0, 1)], Vec::new());
+        assert_eq!(err.unwrap_err(), bad(0, 1));
+        let mut engine = fresh();
+        let err = engine.replay_apply(EditKind::Replace, 0, far(), Vec::new(), vec![(1, 1)]);
+        assert_eq!(err.unwrap_err(), bad(1, 1));
+        // A pending pair naming the removed slot.
+        let mut engine = fresh();
+        let err = engine.replay_apply(EditKind::Remove, 1, None, Vec::new(), vec![(0, 1)]);
+        assert_eq!(err.unwrap_err(), bad(0, 1));
+        // Repairs: rejected pairs leave the engine untouched.
+        let mut engine = fresh();
+        let before = engine.exact_entries();
+        let err = engine.replay_repair(vec![pair(0, 1), pair(7, 0)]).unwrap_err();
+        assert_eq!(err, IncrementalError::InconsistentState { primary: 7, reference: 0 });
+        assert_eq!(engine.exact_entries(), before);
+        assert!(engine.replay_repair(vec![pair(0, 1)]).is_ok(), "(0, 1) interacts");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! computations of the same fact and reports any disagreement.
 
 use crate::{gen, legacy};
-use cardir_cardirect::{evaluate, from_xml, parse_query, to_xml, Configuration};
+use cardir_cardirect::{
+    evaluate, evaluate_indexed, from_xml, parse_query, to_xml, Configuration, RegionIndex,
+};
 use cardir_core::{
     clipping_cdr, compute_cdr, compute_cdr_with_mbb, tile_areas, tile_areas_with_mbb,
     try_compute_cdr_with_mbb, ALL_TILES,
@@ -403,17 +405,41 @@ pub fn check_config(regions: &[Region]) -> Option<Failure> {
                 )
             }
         }
-        match evaluate(&query, &config) {
-            Ok(bindings) => {
-                let expected = vec!["r0".to_string(), "r1".to_string()];
-                if !bindings.iter().any(|b| b.values == expected) {
+        // The same conjunct with the head reversed binds the reference
+        // first, so the indexed evaluator's MBB pruning runs on it.
+        let reversed = format!("{{(y, x) | x {rel} y}}");
+        let index = RegionIndex::build(&config);
+        for (text, expected) in [(&text, ["r0", "r1"]), (&reversed, ["r1", "r0"])] {
+            let query = match parse_query(text) {
+                Ok(q) => q,
+                Err(e) => return fail("query-eval", format!("{text:?} failed to parse: {e}")),
+            };
+            let bindings = match evaluate(&query, &config) {
+                Ok(bindings) => bindings,
+                Err(e) => return fail("query-eval", format!("evaluating {text:?} failed: {e}")),
+            };
+            if !bindings.iter().any(|b| b.values == expected) {
+                return fail(
+                    "query-eval",
+                    format!("evaluating {text:?} lost the originating pair {expected:?}"),
+                );
+            }
+            match evaluate_indexed(&query, &config, &index) {
+                Ok(indexed) if indexed == bindings => {}
+                Ok(indexed) => {
                     return fail(
                         "query-eval",
-                        format!("evaluating {text:?} lost the originating pair (r0, r1)"),
-                    );
+                        format!(
+                            "indexed evaluation of {text:?} gave {} answers, plain gave {}",
+                            indexed.len(),
+                            bindings.len()
+                        ),
+                    )
+                }
+                Err(e) => {
+                    return fail("query-eval", format!("indexed evaluation of {text:?} failed: {e}"))
                 }
             }
-            Err(e) => return fail("query-eval", format!("evaluating {text:?} failed: {e}")),
         }
     }
 

@@ -1,34 +1,26 @@
-//! An R-tree over minimum bounding boxes.
+//! Closed-interval plane-sweep stabbing over region MBB intervals.
 //!
-//! CARDIRECT answers queries that join annotated regions through cardinal
-//! direction predicates. A direction predicate `a R b` constrains where
-//! `mbb(a)` may lie relative to the grid lines of `mbb(b)` (`a` must be
-//! contained in the hull of `R`'s tiles), so candidate regions can be
-//! retrieved with a rectangle search — the classic GIS filter step. This
-//! crate provides that index: a dynamic R-tree with quadratic node splits
-//! (Guttman's algorithm), generic over the stored payload.
-//!
-//! Search rectangles may have infinite extents (e.g. "everything west of
-//! `x = m1`"), which is exactly what the unbounded peripheral tiles need.
+//! Whether Compute-CDR needs edge work for a pair `(a, b)` is a pure
+//! function of the two MBBs: the pair is box-decided unless a grid
+//! coordinate of `mbb(b)` lies in `mbb(a)`'s closed interval on some
+//! axis. The spatial join answers that question for every pair at once
+//! with one sweep per axis ([`sweep_stabs`]) instead of `n²` box tests.
 //!
 //! # Example
 //!
 //! ```
-//! use cardir_geometry::{BoundingBox, Point};
-//! use cardir_index::RTree;
+//! use cardir_index::{sweep_stabs, Interval};
 //!
-//! let mut tree = RTree::new();
-//! for i in 0..100 {
-//!     let x = (i % 10) as f64 * 10.0;
-//!     let y = (i / 10) as f64 * 10.0;
-//!     tree.insert(BoundingBox::new(Point::new(x, y), Point::new(x + 5.0, y + 5.0)), i);
-//! }
-//! let hits = tree.search(BoundingBox::new(Point::new(0.0, 0.0), Point::new(16.0, 16.0)));
-//! assert_eq!(hits.len(), 4);
+//! // Three regions' x-intervals and the grid lines x = 2 and x = 9.
+//! let intervals = [Interval::new(0.0, 4.0), Interval::new(2.0, 3.0), Interval::new(5.0, 8.0)];
+//! let mut hits = Vec::new();
+//! sweep_stabs(&intervals, &[2.0, 9.0], &mut |i, p| hits.push((i, p)));
+//! hits.sort_unstable();
+//! // x = 2 stabs the first interval and touches the second's closed end;
+//! // nothing contains x = 9.
+//! assert_eq!(hits, [(0, 0), (1, 0)]);
 //! ```
 
-mod rtree;
 mod sweep;
 
-pub use rtree::RTree;
 pub use sweep::{sweep_stabs, Interval};

@@ -4,7 +4,7 @@
 //! direction predicates; evaluating them scales with the number of
 //! annotated regions. These generators produce maps with `n` labelled,
 //! coloured regions scattered over an extent — the workload for the
-//! query-evaluation and R-tree ablation benchmarks.
+//! query-evaluation and MBB-pruning ablation benchmarks.
 
 use crate::polygons::star_polygon;
 use crate::rng::SplitMix64;

@@ -1,5 +1,5 @@
 //! A synthetic GIS session: generate an annotated land-cover map, index
-//! it, and answer direction queries with and without the R-tree filter
+//! it, and answer direction queries with and without the MBB filter
 //! step — the retrieval workflow the paper motivates ("retrieve
 //! combinations of interesting regions on the basis of a query").
 //!
@@ -53,7 +53,7 @@ fn main() {
         let t_indexed = t.elapsed();
         assert_eq!(plain, indexed, "index must not change answers");
         println!(
-            "\n{q_str}\n  {} answers  (scan {:.1?}, R-tree {:.1?})",
+            "\n{q_str}\n  {} answers  (scan {:.1?}, MBB-pruned {:.1?})",
             plain.len(),
             t_plain,
             t_indexed

@@ -17,7 +17,8 @@
 //!   constraint networks, weak composition ([`cardir_reasoning`]);
 //! * [`cardirect`] — configurations, XML persistence, the query language
 //!   ([`cardir_cardirect`]);
-//! * [`index`] — the R-tree used for query pruning ([`cardir_index`]);
+//! * [`index`] — closed-interval sweep stabbing, the spatial join's
+//!   pair discovery ([`cardir_index`]);
 //! * [`engine`] — the batch pairwise engine: region caching, MBB
 //!   prefiltering, multi-threaded exact passes ([`cardir_engine`]);
 //! * [`workloads`] — paper shapes, random generators, the Ancient-Greece

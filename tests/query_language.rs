@@ -62,8 +62,8 @@ fn disjunctive_predicate() {
 }
 
 /// The indexed evaluator returns identical answers on every query — on a
-/// configuration *without* precomputed relations, so the R-tree actually
-/// prunes `compute_cdr` calls.
+/// configuration *without* precomputed relations, so the MBB pruning
+/// actually saves `compute_cdr` calls.
 #[test]
 fn indexed_matches_plain_without_stored_relations() {
     let mut c = Configuration::new("Ancient Greece", "map.png");
