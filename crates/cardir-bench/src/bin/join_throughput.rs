@@ -11,8 +11,12 @@
 //! (≈ 10¹⁰ ordered pairs) complete at all.
 //!
 //! Each record splits the wall time into its phases: `discover_ns` (the
-//! sweeps), `exact_pass_ns` (the threaded exact pass) and `assemble_ns`
-//! (reordering the finished chunks).
+//! sweeps), `exact_pass_ns` (the threaded exact pass, which writes its
+//! outcomes in place into the pre-sized output) and `assemble_ns` (the
+//! completion accounting). `peak_rss_mb` is the process's resident
+//! high-water mark after the row (Linux `VmHWM`; 0 elsewhere); sizes run
+//! in the given order in one process, so list them ascending for a
+//! per-row peak.
 //!
 //! Usage: `join_throughput [N ...] [--json PATH] [--trace PATH]`.
 //! Default sweep: N ∈ {1000, 10000, 100000}. `--json` writes one
@@ -31,6 +35,16 @@ use std::time::Instant;
 
 fn ns(d: std::time::Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// The process's peak resident set in MiB, read from `/proc/self/status`.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 fn main() {
@@ -119,8 +133,9 @@ fn main() {
         );
 
         let m = &outcome.metrics;
+        let peak_rss = peak_rss_mb();
         println!(
-            "      discover {:.2?}, exact pass {:.2?}, assemble {:.2?}",
+            "      discover {:.2?}, exact pass {:.2?}, assemble {:.2?}; peak RSS {peak_rss:.1} MiB",
             m.discover, m.exact_pass, m.assemble
         );
 
@@ -139,6 +154,7 @@ fn main() {
                 ("assemble_ns", Json::from(ns(m.assemble))),
                 ("threads", Json::from(outcome.stats.threads)),
                 ("fused_pairs", Json::from(outcome.stats.fused_pairs)),
+                ("peak_rss_mb", Json::from(peak_rss)),
             ];
             sink.emit("join", Json::obj(fields)).expect("write JSON line");
         }

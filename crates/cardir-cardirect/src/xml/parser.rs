@@ -4,30 +4,35 @@
 //! comments, start/end/empty tags with single- or double-quoted
 //! attributes, text content, and the predefined entities. Input positions
 //! in errors are byte offsets.
+//!
+//! Events borrow from the input: names are `&str` slices of it, and
+//! values are [`Cow`]s that allocate only when an entity has to be
+//! resolved. Whitespace between tags allocates nothing.
 
 use super::escape::unescape;
+use std::borrow::Cow;
 use std::fmt;
 
-/// A parse event.
+/// A parse event, borrowing from the document it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub enum Event<'a> {
     /// `<name attr="…">` — `self_closing` for `<name …/>`.
     Start {
         /// Element name.
-        name: String,
+        name: &'a str,
         /// Attributes in document order, values entity-resolved.
-        attributes: Vec<(String, String)>,
+        attributes: Vec<(&'a str, Cow<'a, str>)>,
         /// Whether the tag was `<… />`.
         self_closing: bool,
     },
     /// `</name>`.
     End {
         /// Element name.
-        name: String,
+        name: &'a str,
     },
     /// Non-whitespace character data (entity-resolved). Whitespace-only
     /// runs are skipped.
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
 /// Parse failures with byte positions.
@@ -48,7 +53,12 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// The pull parser.
+///
+/// Every position it slices at sits next to an ASCII delimiter (`<`,
+/// `>`, a quote, `=` or whitespace) or inside an ASCII name, so each
+/// slice of the `&str` input falls on a character boundary.
 pub struct Parser<'a> {
+    text: &'a str,
     input: &'a [u8],
     pos: usize,
 }
@@ -56,7 +66,7 @@ pub struct Parser<'a> {
 impl<'a> Parser<'a> {
     /// Creates a parser over a document.
     pub fn new(input: &'a str) -> Self {
-        Parser { input: input.as_bytes(), pos: 0 }
+        Parser { text: input, input: input.as_bytes(), pos: 0 }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -88,7 +98,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, ParseError> {
+    fn read_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_' | b'.' | b':') {
@@ -100,11 +110,11 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return self.err("expected a name");
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.text[start..self.pos])
     }
 
     /// Returns the next event, or `None` at end of input.
-    pub fn next_event(&mut self) -> Result<Option<Event>, ParseError> {
+    pub fn next_event(&mut self) -> Result<Option<Event<'a>>, ParseError> {
         loop {
             if self.pos >= self.input.len() {
                 return Ok(None);
@@ -140,15 +150,20 @@ impl<'a> Parser<'a> {
             while self.pos < self.input.len() && self.peek() != Some(b'<') {
                 self.pos += 1;
             }
-            let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
-            let text = unescape(raw.as_ref()).into_owned();
+            // A whitespace run has no entity, so skipping it before
+            // unescaping allocates nothing and skips the same runs.
+            let raw = &self.text[start..self.pos];
+            if raw.trim().is_empty() {
+                continue;
+            }
+            let text = unescape(raw);
             if !text.trim().is_empty() {
                 return Ok(Some(Event::Text(text)));
             }
         }
     }
 
-    fn read_start_tag(&mut self) -> Result<Event, ParseError> {
+    fn read_start_tag(&mut self) -> Result<Event<'a>, ParseError> {
         debug_assert_eq!(self.peek(), Some(b'<'));
         self.pos += 1;
         let name = self.read_name()?;
@@ -188,8 +203,7 @@ impl<'a> Parser<'a> {
                     if self.pos >= self.input.len() {
                         return self.err("unterminated attribute value");
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
-                    let value = unescape(raw.as_ref()).into_owned();
+                    let value = unescape(&self.text[start..self.pos]);
                     self.pos += 1;
                     attributes.push((attr, value));
                 }
@@ -200,7 +214,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Convenience: parses a whole document into an event list.
-pub fn parse_events(input: &str) -> Result<Vec<Event>, ParseError> {
+pub fn parse_events(input: &str) -> Result<Vec<Event<'_>>, ParseError> {
     let mut p = Parser::new(input);
     let mut out = Vec::new();
     while let Some(e) = p.next_event()? {
@@ -213,10 +227,10 @@ pub fn parse_events(input: &str) -> Result<Vec<Event>, ParseError> {
 mod tests {
     use super::*;
 
-    fn start(name: &str, attrs: &[(&str, &str)], self_closing: bool) -> Event {
+    fn start<'a>(name: &'a str, attrs: &[(&'a str, &'a str)], self_closing: bool) -> Event<'a> {
         Event::Start {
-            name: name.into(),
-            attributes: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            name,
+            attributes: attrs.iter().map(|&(k, v)| (k, Cow::Borrowed(v))).collect(),
             self_closing,
         }
     }
@@ -234,7 +248,7 @@ mod tests {
             vec![
                 start("Image", &[("name", "map"), ("file", "greece.png")], false),
                 start("Region", &[("id", "attica"), ("color", "blue")], true),
-                Event::End { name: "Image".into() },
+                Event::End { name: "Image" },
             ]
         );
     }
@@ -255,11 +269,29 @@ mod tests {
             vec![
                 start("a", &[], false),
                 Event::Text("\n  hello & goodbye\n".into()),
-                Event::End { name: "a".into() },
+                Event::End { name: "a" },
                 start("b", &[], false),
-                Event::End { name: "b".into() },
+                Event::End { name: "b" },
             ]
         );
+    }
+
+    #[test]
+    fn events_borrow_unless_an_entity_is_resolved() {
+        let doc = "<a k='plain' e='x &amp; y'>\n  <b/>text &lt;</a>";
+        let events = parse_events(doc).unwrap();
+        let Event::Start { attributes, .. } = &events[0] else { panic!("{events:?}") };
+        assert!(matches!(attributes[0].1, Cow::Borrowed("plain")));
+        assert!(matches!(&attributes[1].1, Cow::Owned(v) if v == "x & y"));
+        assert!(matches!(&events[2], Event::Text(Cow::Owned(t)) if t == "text <"));
+        // An entity that resolves to whitespace is still skipped.
+        assert_eq!(parse_events("&#32;<a/>").unwrap(), vec![start("a", &[], true)]);
+        // Multi-byte text next to the delimiters slices cleanly.
+        let events = parse_events("<é-tag v='α'>β</é-tag>");
+        assert!(events.is_err(), "names are ASCII: {events:?}");
+        let events = parse_events("<t v='αβ'>γ</t>").unwrap();
+        assert_eq!(events[0], start("t", &[("v", "αβ")], false));
+        assert_eq!(events[1], Event::Text(Cow::Borrowed("γ")));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use super::escape::escape_attribute;
 use super::parser::{Event, Parser};
 use crate::model::{ConfigError, Configuration, StoredRelation};
 use cardir_geometry::{Point, Polygon, Region};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors raised by XML import.
@@ -92,12 +93,12 @@ pub fn to_xml(config: &Configuration) -> String {
     out
 }
 
-fn attr<'a>(attributes: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    attributes.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+fn attr<'a>(attributes: &'a [(&str, Cow<'_, str>)], name: &str) -> Option<&'a str> {
+    attributes.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_ref())
 }
 
 fn required<'a>(
-    attributes: &'a [(String, String)],
+    attributes: &'a [(&str, Cow<'_, str>)],
     element: &str,
     name: &str,
 ) -> Result<&'a str, XmlError> {
@@ -124,7 +125,7 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
 
     // Root element.
     let (name, file) = match parser.next_event()? {
-        Some(Event::Start { name, attributes, self_closing }) if name == "Image" => {
+        Some(Event::Start { name: "Image", attributes, self_closing }) => {
             if self_closing {
                 return Err(XmlError::Structure("<Image> must contain at least one <Region>".into()));
             }
@@ -141,7 +142,7 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
 
     loop {
         match parser.next_event()? {
-            Some(Event::Start { name, attributes, self_closing }) if name == "Region" => {
+            Some(Event::Start { name: "Region", attributes, self_closing }) => {
                 if seen_relation {
                     return Err(XmlError::Structure(
                         "<Region> elements must precede <Relation> elements".into(),
@@ -153,7 +154,7 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
                 let custom: Vec<(String, String)> = attributes
                     .iter()
                     .filter_map(|(k, v)| {
-                        k.strip_prefix("data-").map(|name| (name.to_string(), v.clone()))
+                        k.strip_prefix("data-").map(|name| (name.to_string(), v.to_string()))
                     })
                     .collect();
                 let polygons = if self_closing {
@@ -173,7 +174,7 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
                     config.set_attribute(&id, key, value)?;
                 }
             }
-            Some(Event::Start { name, attributes, self_closing }) if name == "Relation" => {
+            Some(Event::Start { name: "Relation", attributes, self_closing }) => {
                 seen_relation = true;
                 let type_str = required(&attributes, "Relation", "type")?;
                 let relation = type_str
@@ -188,7 +189,7 @@ pub fn from_xml(input: &str) -> Result<Configuration, XmlError> {
                     expect_end(&mut parser, "Relation")?;
                 }
             }
-            Some(Event::End { name }) if name == "Image" => break,
+            Some(Event::End { name: "Image" }) => break,
             Some(Event::Text(_)) => {}
             other => {
                 return Err(XmlError::Structure(format!(
@@ -208,7 +209,7 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
     let mut polygons = Vec::new();
     loop {
         match parser.next_event()? {
-            Some(Event::Start { name, self_closing, .. }) if name == "Polygon" => {
+            Some(Event::Start { name: "Polygon", self_closing, .. }) => {
                 if self_closing {
                     return Err(XmlError::Structure(
                         "<Polygon> needs at least three <Edge> children".into(),
@@ -217,7 +218,7 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
                 let mut vertices: Vec<Point> = Vec::new();
                 loop {
                     match parser.next_event()? {
-                        Some(Event::Start { name, attributes, self_closing }) if name == "Edge" => {
+                        Some(Event::Start { name: "Edge", attributes, self_closing }) => {
                             let x = parse_coord(required(&attributes, "Edge", "x")?)?;
                             let y = parse_coord(required(&attributes, "Edge", "y")?)?;
                             vertices.push(Point::new(x, y));
@@ -225,7 +226,7 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
                                 expect_end(parser, "Edge")?;
                             }
                         }
-                        Some(Event::End { name }) if name == "Polygon" => break,
+                        Some(Event::End { name: "Polygon" }) => break,
                         Some(Event::Text(_)) => {}
                         other => {
                             return Err(XmlError::Structure(format!(
@@ -241,7 +242,7 @@ fn read_polygons(parser: &mut Parser<'_>) -> Result<Vec<Polygon>, XmlError> {
                 }
                 polygons.push(Polygon::new(vertices).map_err(|e| XmlError::BadPolygon(e.to_string()))?);
             }
-            Some(Event::End { name }) if name == "Region" => return Ok(polygons),
+            Some(Event::End { name: "Region" }) => return Ok(polygons),
             Some(Event::Text(_)) => {}
             other => {
                 return Err(XmlError::Structure(format!(

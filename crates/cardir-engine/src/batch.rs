@@ -11,12 +11,13 @@
 //!   the pairs an incremental edit invalidated. Every listed pair takes
 //!   the exact path.
 //!
-//! The work list is cut into fixed chunks. Scoped worker
-//! threads pull chunk indices from an atomic counter, compute each pair
-//! with the fused SoA kernels, and push their chunk back tagged with its
-//! index. Sorting the finished chunks by index restores exact input
-//! order, so the output is bit-identical no matter how many workers ran
-//! or how the scheduler interleaved them.
+//! The output vector is allocated once, with a `Skipped` outcome in
+//! every slot, and cut into fixed chunks. Scoped worker threads claim
+//! the next chunk slice from one queue, compute each pair with the fused
+//! SoA kernels, and write the outcomes into that slice in place. Every
+//! pair's slot is fixed by its input position, so the output is
+//! bit-identical no matter how many workers ran or how the scheduler
+//! interleaved them, and nothing is reordered or copied afterwards.
 //!
 //! Every run executes under a [`RunPolicy`]: each pair attempt is wrapped
 //! in `catch_unwind` (so one poisoned pair becomes a
@@ -42,7 +43,7 @@ use cardir_telemetry::trace::{phases, MAIN_TID};
 use cardir_telemetry::{Histogram, Tracer, DURATION_BOUNDS_NS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What the engine computes per pair.
@@ -179,9 +180,9 @@ impl Default for BatchEngine {
     }
 }
 
-/// Chunk size of the work queue: big enough to amortise the atomic
-/// fetch and the per-chunk allocation, small enough to load-balance maps
-/// where a few regions carry most edges.
+/// Chunk size of the work queue: big enough to amortise the queue lock,
+/// small enough to load-balance maps where a few regions carry most
+/// edges.
 const CHUNK: usize = 256;
 
 impl BatchEngine {
@@ -256,10 +257,13 @@ impl BatchEngine {
     /// The chunked parallel pass shared by both entry points. Every
     /// work item takes the exact path.
     ///
-    /// Workers re-check the cancel token and the deadline before claiming
-    /// each chunk; chunks never claimed are assembled as
-    /// [`PairOutcome::Skipped`] in their input-order slots, so the output
-    /// vector always has one entry per requested pair.
+    /// The output is pre-sized with a [`PairOutcome::Skipped`] in every
+    /// input-order slot. Workers claim `(chunk index, chunk slice)` pairs
+    /// from one queue and overwrite their slice in place, re-checking the
+    /// cancel token and the deadline before each claim; a chunk never
+    /// claimed simply stays `Skipped`, so the output always has one entry
+    /// per requested pair with no reorder or copy. The prefill counts in
+    /// the exact pass, so the phases still add up to the wall time.
     pub(crate) fn run<F>(
         &self,
         cache: &RegionCache<'_>,
@@ -270,22 +274,26 @@ impl BatchEngine {
     where
         F: Fn(usize) -> (usize, usize) + Sync,
     {
+        let exact_start = Instant::now();
+        let deadline_at = policy.deadline.and_then(|d| exact_start.checked_add(d));
         let n_chunks = total.div_ceil(CHUNK).max(1);
         let workers = self.threads.min(n_chunks);
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<PairOutcome>, Tally)>> =
-            Mutex::new(Vec::with_capacity(n_chunks));
         let per_thread: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
         let chunk_hist = Histogram::new_detached(&DURATION_BOUNDS_NS);
         let mode = self.mode;
         let deadline_hits = AtomicUsize::new(0);
         let cancel_hits = AtomicUsize::new(0);
-
-        let exact_start = Instant::now();
-        let deadline_at = policy.deadline.and_then(|d| exact_start.checked_add(d));
+        let totals = Mutex::new(Tally::default());
+        let mut pairs: Vec<PairOutcome> = (0..total)
+            .map(|k| {
+                let (primary, reference) = pair_at(k);
+                PairOutcome::Skipped { primary, reference }
+            })
+            .collect();
         {
-            let next = &next;
-            let done = &done;
+            let queue = Mutex::new(pairs.chunks_mut(CHUNK).enumerate());
+            let queue = &queue;
+            let totals = &totals;
             let per_thread = &per_thread[..];
             let chunk_hist = &chunk_hist;
             let pair_at = &pair_at;
@@ -299,10 +307,11 @@ impl BatchEngine {
                         // coordinator. The buffer merges on drop, once.
                         let mut trace = tracer.thread(slot as u32 + 1);
                         let mut worker_pairs = 0usize;
+                        let mut tally = Tally::default();
                         loop {
                             // A queue_wait span covers everything between
-                            // chunks: the stop checks, the atomic claim,
-                            // and any injected claim stall.
+                            // chunks: the stop checks, the claim, and any
+                            // injected claim stall.
                             let wait_start = trace.begin();
                             // Cooperative stop checks, between chunks only
                             // — claimed chunks always run to completion.
@@ -320,11 +329,14 @@ impl BatchEngine {
                                     break;
                                 }
                             }
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
+                            let claimed = queue
+                                .lock()
+                                .expect("the queue lock is held only for next(), which cannot panic")
+                                .next();
+                            let Some((c, chunk)) = claimed else {
                                 trace.end(wait_start, phases::QUEUE_WAIT, None);
                                 break;
-                            }
+                            };
                             // Failpoint: a slow tenant stalling a worker.
                             if let Some(FaultAction::Delay(d)) =
                                 cardir_faults::hit(sites::ENGINE_CHUNK_CLAIM)
@@ -334,60 +346,29 @@ impl BatchEngine {
                             trace.end(wait_start, phases::QUEUE_WAIT, Some(c as u64));
                             let compute_start = trace.begin();
                             let chunk_start = Instant::now();
-                            let start = c * CHUNK;
-                            let end = (start + CHUNK).min(total);
-                            let mut local = Vec::with_capacity(end - start);
-                            let mut tally = Tally::default();
-                            for k in start..end {
+                            for (out, k) in chunk.iter_mut().zip(c * CHUNK..) {
                                 let (i, j) = pair_at(k);
-                                local.push(run_pair(cache, i, j, mode, policy, &mut tally));
+                                *out = run_pair(cache, i, j, mode, policy, &mut tally);
                             }
-                            worker_pairs += end - start;
+                            worker_pairs += chunk.len();
                             chunk_hist.record(duration_ns(chunk_start.elapsed()));
-                            // With panic isolation off, an unwinding
-                            // worker can poison this lock; recover the
-                            // data rather than cascading the panic.
-                            done.lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((c, local, tally));
                             trace.end(compute_start, phases::CHUNK_COMPUTE, Some(c as u64));
                         }
                         my_pairs.store(worker_pairs, Ordering::Relaxed);
+                        totals.lock().expect("merging counters cannot panic").merge(&tally);
                     });
                 }
             });
         }
-        let exact_pass = exact_start.elapsed();
+        let assemble_start = Instant::now();
+        let exact_pass = assemble_start - exact_start;
 
-        // Assemble in input order, filling never-claimed chunks with
-        // `Skipped` slots.
         let mut main_trace = self.tracer.thread(MAIN_TID);
         let trace_start = main_trace.begin();
-        let assemble_start = Instant::now();
-        let mut slots: Vec<Option<Vec<PairOutcome>>> = (0..n_chunks).map(|_| None).collect();
-        let mut totals = Tally::default();
-        for (c, local, tally) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            slots[c] = Some(local);
-            totals.edges_scanned += tally.edges_scanned;
-            totals.fused += tally.fused;
-            totals.faults.merge(&tally.faults);
-        }
-        let mut pairs = Vec::with_capacity(total);
-        let mut skipped = 0usize;
-        for (c, slot) in slots.iter_mut().enumerate() {
-            match slot.take() {
-                Some(local) => pairs.extend(local),
-                None => {
-                    let start = c * CHUNK;
-                    let end = (start + CHUNK).min(total);
-                    for k in start..end {
-                        let (i, j) = pair_at(k);
-                        pairs.push(PairOutcome::Skipped { primary: i, reference: j });
-                    }
-                    skipped += end - start;
-                }
-            }
-        }
+        let mut totals = totals.into_inner().expect("merging counters cannot panic");
+        let per_thread_pairs: Vec<usize> =
+            per_thread.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+        let skipped = total - per_thread_pairs.iter().sum::<usize>();
         let failed = totals.faults.failed_pairs;
         let succeeded = total - failed - skipped;
         totals.faults.skipped_pairs = skipped;
@@ -421,7 +402,7 @@ impl BatchEngine {
             discover: Duration::ZERO,
             exact_pass,
             assemble: assemble_start.elapsed(),
-            per_thread_pairs: per_thread.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
+            per_thread_pairs,
             chunk_durations_ns: chunk_hist.snapshot(),
             faults: totals.faults,
             join: None,
@@ -512,7 +493,7 @@ fn attempt_pair(
     Ok(compute_pair(cache, i, j, mode, tally))
 }
 
-/// Per-chunk counter block carried back with each finished chunk.
+/// Per-worker counter block, merged once when the worker finishes.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Tally {
     /// Pairs decided from the boxes alone.
@@ -521,8 +502,18 @@ pub(crate) struct Tally {
     pub(crate) edges_scanned: usize,
     /// Exact computations that ran over the fused SoA kernels.
     pub(crate) fused: usize,
-    /// Fault events observed while computing this chunk.
+    /// Fault events observed while computing.
     pub(crate) faults: FaultTally,
+}
+
+impl Tally {
+    /// Adds `other`'s counters into this block.
+    fn merge(&mut self, other: &Tally) {
+        self.hits += other.hits;
+        self.edges_scanned += other.edges_scanned;
+        self.fused += other.fused;
+        self.faults.merge(&other.faults);
+    }
 }
 
 /// Computes one ordered pair on the exact path — the fused SoA kernels
@@ -853,6 +844,67 @@ mod tests {
             // A second run on the same engine starts from zeroed slots.
             let again = engine.run_pairs(&cache, &pairs, &RunPolicy::default()).unwrap();
             assert_eq!(again.metrics.per_thread_pairs.iter().sum::<usize>(), total);
+        }
+    }
+
+    /// The phases of a join are contiguous: discovery, the exact pass
+    /// (the output prefill included) and the assembly account for the
+    /// whole wall time of `run_join`.
+    #[test]
+    fn run_join_phases_sum_to_its_wall_time() {
+        let regions = random_regions(31, 300);
+        let cache = RegionCache::build(&regions);
+        for threads in [1, 2] {
+            let engine = BatchEngine::new().with_mode(EngineMode::Quantitative).with_threads(threads);
+            let start = Instant::now();
+            let outcome = engine.run_join(&cache, &RunPolicy::default());
+            let wall = start.elapsed();
+            let m = &outcome.metrics;
+            let phases = m.discover + m.exact_pass + m.assemble;
+            assert!(outcome.join.exact_pairs > CHUNK, "several chunks: {:?}", outcome.join);
+            assert!(phases <= wall, "{phases:?} > {wall:?}");
+            assert!(
+                phases.as_secs_f64() >= 0.9 * wall.as_secs_f64(),
+                "phases {phases:?} leave too much of {wall:?} unaccounted"
+            );
+        }
+    }
+
+    /// A stop before any claim leaves the pre-sized output as it was
+    /// filled: one `Skipped` per requested pair, in input order.
+    #[test]
+    fn unclaimed_pairs_stay_skipped_in_input_order() {
+        let regions = random_regions(5, 30);
+        let cache = RegionCache::build(&regions);
+        // Reference-major and reversed, so input order is not sorted order.
+        let mut wanted: Vec<(usize, usize)> =
+            ordered_pairs(regions.len()).into_iter().map(|(i, j)| (j, i)).collect();
+        wanted.reverse();
+        let token = crate::policy::CancelToken::new();
+        token.cancel();
+        let policies = [
+            (RunPolicy::default().with_deadline(Duration::ZERO), CompletionStatus::DeadlineExceeded),
+            (RunPolicy::default().with_cancel(token), CompletionStatus::Cancelled),
+        ];
+        for (policy, status) in policies {
+            for threads in [1, 3] {
+                let engine = BatchEngine::new().with_threads(threads);
+                let listed = engine.run_pairs(&cache, &wanted, &policy).unwrap();
+                assert_eq!(listed.status, status);
+                assert_eq!((listed.skipped, listed.succeeded), (wanted.len(), 0));
+                let got: Vec<_> = listed.pairs.iter().map(PairOutcome::indices).collect();
+                assert_eq!(got, wanted, "{status:?}, {threads} threads");
+                assert!(listed.pairs.iter().all(|p| matches!(p, PairOutcome::Skipped { .. })));
+                assert_eq!(listed.metrics.per_thread_pairs.iter().sum::<usize>(), 0);
+
+                let joined = engine.run_join(&cache, &policy);
+                let (work, _) = crate::join::interacting_pairs(&cache);
+                let got: Vec<_> = joined.interacting.iter().map(PairOutcome::indices).collect();
+                let want: Vec<_> = work.iter().map(|&(i, j)| (i as usize, j as usize)).collect();
+                assert_eq!(got, want, "join, {status:?}, {threads} threads");
+                assert_eq!(joined.skipped, want.len());
+                assert!(joined.interacting.iter().all(|p| matches!(p, PairOutcome::Skipped { .. })));
+            }
         }
     }
 

@@ -269,12 +269,12 @@ impl BatchEngine {
     /// interacting pairs, counters for the rest. Memory is `O(K)`, not
     /// `O(N²)`.
     pub fn run_join(&self, cache: &RegionCache<'_>, policy: &RunPolicy) -> JoinOutcome {
+        let start = Instant::now();
         let n = cache.len();
         let mut trace = self.tracer().thread(MAIN_TID);
         let trace_start = trace.begin();
-        let discover_start = Instant::now();
         let (work, candidates) = interacting_pairs(cache);
-        let discover = discover_start.elapsed();
+        let discover = start.elapsed();
         trace.end(trace_start, phases::SWEEP_PARTITION, None);
         drop(trace);
         let total = ordered_pair_count(n);
@@ -289,8 +289,12 @@ impl BatchEngine {
             |k| (work[k].0 as usize, work[k].1 as usize),
             policy,
         );
+        drop(work);
         let stats = BatchStats { pairs: total, ..sub.stats };
-        let metrics = EngineMetrics { discover, join: Some(join), ..sub.metrics };
+        let mut metrics = EngineMetrics { discover, join: Some(join), ..sub.metrics };
+        // Freeing the work list and the bookkeeping after the exact pass
+        // count as assembly, so the three phases cover the whole call.
+        metrics.assemble = start.elapsed().saturating_sub(discover + metrics.exact_pass);
         JoinOutcome {
             regions: n,
             interacting: sub.pairs,

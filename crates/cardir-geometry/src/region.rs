@@ -42,9 +42,13 @@ impl From<PolygonError> for RegionError {
 /// (paper Fig. 2). The disjoint-interiors requirement is a documented
 /// precondition, not a construction-time check (verifying it is
 /// `O(n² log n)`); the area accounting of `Compute-CDR%` relies on it.
+///
+/// A region is immutable, so its minimum bounding box is computed once by
+/// every constructor and [`Region::mbb`] is `O(1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     polygons: Vec<Polygon>,
+    mbb: BoundingBox,
 }
 
 impl Region {
@@ -54,16 +58,15 @@ impl Region {
         I: IntoIterator<Item = Polygon>,
     {
         let polygons: Vec<Polygon> = polygons.into_iter().collect();
-        if polygons.is_empty() {
-            return Err(RegionError::Empty);
-        }
-        Ok(Region { polygons })
+        let mbb = mbb_of(&polygons).ok_or(RegionError::Empty)?;
+        Ok(Region { polygons, mbb })
     }
 
     /// A region consisting of a single polygon (class `REG` when the
     /// polygon is simple).
     pub fn single(polygon: Polygon) -> Self {
-        Region { polygons: vec![polygon] }
+        let mbb = polygon.bounding_box();
+        Region { polygons: vec![polygon], mbb }
     }
 
     /// Builds a single-polygon region straight from coordinates.
@@ -113,13 +116,11 @@ impl Region {
         self.polygons.iter().flat_map(Polygon::edges)
     }
 
-    /// The minimum bounding box `mbb(·)` of the region.
+    /// The minimum bounding box `mbb(·)` of the region, computed once at
+    /// construction.
+    #[inline]
     pub fn mbb(&self) -> BoundingBox {
-        self.polygons
-            .iter()
-            .map(Polygon::bounding_box)
-            .reduce(BoundingBox::union)
-            .expect("regions are non-empty")
+        self.mbb
     }
 
     /// Total area (sum of member polygon areas; correct because member
@@ -135,15 +136,15 @@ impl Region {
 
     /// Returns the region translated by `(dx, dy)`.
     pub fn translated(&self, dx: f64, dy: f64) -> Region {
-        Region {
-            polygons: self.polygons.iter().map(|p| p.translated(dx, dy)).collect(),
-        }
+        Region::new(self.polygons.iter().map(|p| p.translated(dx, dy)))
+            .expect("a translated region keeps its polygons")
     }
 
     /// Merges two regions into one (set union of their polygon lists; the
     /// caller guarantees interiors stay disjoint).
     pub fn union(mut self, other: Region) -> Region {
         self.polygons.extend(other.polygons);
+        self.mbb = mbb_of(&self.polygons).expect("regions are non-empty");
         self
     }
 
@@ -156,6 +157,12 @@ impl Region {
     pub fn is_simple_connected(&self) -> bool {
         self.polygons.len() == 1 && self.polygons[0].is_simple()
     }
+}
+
+/// The union of the polygons' boxes, folded in polygon order; `None` for
+/// no polygons.
+fn mbb_of(polygons: &[Polygon]) -> Option<BoundingBox> {
+    polygons.iter().map(Polygon::bounding_box).reduce(BoundingBox::union)
 }
 
 impl From<Polygon> for Region {
@@ -248,6 +255,34 @@ mod tests {
         assert_eq!(u.polygon_count(), 2);
         let t = u.translated(1.0, 1.0);
         assert_eq!(t.mbb().min, pt(1.0, 1.0));
+    }
+
+    /// The box cached at construction is the fold over the polygons'
+    /// boxes, bit for bit, for every constructor and for `translated`.
+    #[test]
+    fn cached_mbb_equals_the_polygon_fold() {
+        let fold = |r: &Region| {
+            r.polygons().iter().map(Polygon::bounding_box).reduce(BoundingBox::union).unwrap()
+        };
+        let bits = |b: BoundingBox| [b.min.x, b.min.y, b.max.x, b.max.y].map(f64::to_bits);
+        let multi = Region::new([square(-0.0, 0.0, 1.0), square(3.0, -2.5, 0.25)]).unwrap();
+        let regions = [
+            multi.clone(),
+            Region::single(square(1.5, 2.5, 2.0)),
+            Region::from(square(-7.0, 1e-300, 3.0)),
+            Region::from_coords([(0.0, 0.0), (4.0, 1.0), (1.0, 5.0)]).unwrap(),
+            Region::from_rings([
+                vec![(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+                vec![(-5.0, 2.0), (-4.0, 2.0), (-4.0, 9.0)],
+            ])
+            .unwrap(),
+            Region::rectangle(BoundingBox::new(pt(-1.0, -2.0), pt(3.0, 4.0))).unwrap(),
+            multi.translated(0.1, -2f64.powi(40)),
+            multi.clone().union(Region::single(square(10.0, 10.0, 1.0))),
+        ];
+        for (k, r) in regions.iter().enumerate() {
+            assert_eq!(bits(r.mbb()), bits(fold(r)), "region {k}");
+        }
     }
 
     #[test]

@@ -51,13 +51,31 @@ cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.j
 cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_engine.json "$bench_json" \
     --filter mode=quantitative --filter threads=1 --threshold 3
 
+# Kernel gate: the fused Compute-CDR / Compute-CDR% kernel on its own,
+# ns per scanned edge by mode x edge count x share of edges crossing a
+# grid line. The bench is single-threaded, so every cell is a
+# threads=1 cell; each must stay within 3x of the committed
+# BENCH_kernel.json (ns_per_edge is lower-is-better, hence :lower). A
+# return to dividing every edge, or to a full centre test per pair,
+# overshoots it on the 0% crossing cells.
+kernel_json="$(mktemp /tmp/kernel.XXXXXX.json)"
+trap 'rm -f "$bench_json" "$bench_trace" "$kernel_json"' EXIT
+cargo run --release --offline -p cardir-bench --bin kernel_throughput -- \
+    --json "$kernel_json" > /dev/null
+cargo run --release --offline -p cardir-bench --bin json_check -- "$kernel_json" \
+    --require kernel_cell.ns_per_edge --require kernel_cell.crossing_share \
+    --require kernel_cell.orient2d_calls
+cargo run --release --offline -p cardir-bench --bin bench_diff -- BENCH_kernel.json "$kernel_json" \
+    --key kernel_cell=mode,edges,crossing_pct --metric kernel_cell.ns_per_edge:lower \
+    --filter threads=1 --threshold 3
+
 # Spatial-join smoke: the sweep-partitioned batch path must complete a
 # 10k-region map (≈ 10^8 ordered pairs, counted not materialised) and
 # emit the join.* partition counters CI dashboards track, plus the
 # assembly phase that, with discovery and the exact pass, accounts for
 # the run's wall time.
 join_json="$(mktemp /tmp/join.XXXXXX.json)"
-trap 'rm -f "$bench_json" "$join_json"' EXIT
+trap 'rm -f "$bench_json" "$bench_trace" "$kernel_json" "$join_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin join_throughput -- 10000 \
     --json "$join_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$join_json" \
@@ -104,7 +122,7 @@ cargo run --offline -p cardir-fuzz -- --family edits --iters 150 --seed 1
 # right after an edit) is lower-is-better and gates WITH :lower; a
 # return to deep-copying snapshots costs orders of magnitude, not 3x.
 incr_json="$(mktemp /tmp/incr.XXXXXX.json)"
-trap 'rm -f "$bench_json" "$bench_trace" "$join_json" "$incr_json"' EXIT
+trap 'rm -f "$bench_json" "$bench_trace" "$kernel_json" "$join_json" "$incr_json"' EXIT
 cargo run --release --offline -p cardir-bench --bin incremental_throughput -- 1000 \
     --json "$incr_json" > /dev/null
 cargo run --release --offline -p cardir-bench --bin json_check -- "$incr_json" \
@@ -130,7 +148,7 @@ nan_json="$(mktemp /tmp/nan.XXXXXX.json)"
 server_pid=""
 cleanup() {
     [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$bench_json" "$bench_trace" "$join_json" "$incr_json" \
+    rm -rf "$bench_json" "$bench_trace" "$kernel_json" "$join_json" "$incr_json" \
         "$server_json" "$server_log" "$server_dir" "$nan_json"
 }
 trap cleanup EXIT

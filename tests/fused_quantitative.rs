@@ -11,11 +11,12 @@
 //! and only exact computations — runs over the fused SoA kernels.
 
 use cardir::core::{
-    cdr_areas_from_soa, cdr_from_soa, compute_cdr, compute_cdr_pct, compute_cdr_with_mbb,
-    tile_areas_with_mbb, CardinalRelation, PercentageMatrix,
+    cdr_areas_from_soa, cdr_from_soa, cdr_from_soa_hooked, compute_cdr, compute_cdr_hooked,
+    compute_cdr_pct, compute_cdr_with_mbb, tile_areas_with_mbb, CardinalRelation, CountingHook,
+    PercentageMatrix, SoaStore,
 };
 use cardir::engine::{BatchEngine, EngineMode, RegionCache, RunPolicy};
-use cardir::geometry::{BoundingBox, Point, Region};
+use cardir::geometry::{BoundingBox, Point, Polygon, Region};
 use cardir::workloads::{archipelago, random_map, RegionSpec, SplitMix64};
 use cardir_fuzz::checks::ordered_pairs;
 
@@ -176,4 +177,110 @@ fn boundary_contact_and_north_stack_fused_bit_identical() {
         rect(0.0, 0.0, 4.0, 4.0),   // exact duplicate of the reference
     ];
     assert_fused_pipeline_cross_validates(&regions, "boundary contact + north stack");
+}
+
+/// Regions around the reference square `[0, 4]²` (region 0) that drive
+/// both kernel shortcuts to their edges: vertices and whole edges on its
+/// grid lines (the single-tile path must decline them), and primaries
+/// whose box has the square's centre `(2, 2)` on its boundary, around a
+/// ring that does not hold it, or in the hole of a frame (the box-gated
+/// centre test must still answer exactly).
+fn shortcut_regions() -> Vec<Region> {
+    let tri = |pts: &[(f64, f64)]| Region::from_coords(pts.iter().copied()).unwrap();
+    vec![
+        rect(0.0, 0.0, 4.0, 4.0),
+        rect(0.0, 1.0, 2.0, 3.0),  // west edge on x = 0
+        rect(-2.0, 1.0, 0.0, 3.0), // east edge on x = 0, outside
+        rect(-2.0, 4.0, 2.0, 6.0), // south edge on y = 4
+        rect(4.0, 4.0, 6.0, 6.0),  // corner contact
+        tri(&[(-2.0, 1.0), (0.0, 2.0), (-2.0, 3.0)]), // vertex on x = 0
+        tri(&[(2.0, 5.0), (6.0, 5.0), (6.0, -1.0)]),  // box west side through (2, 2)
+        tri(&[(-3.0, -3.0), (5.0, -3.0), (-3.0, 2.0)]), // box north side through (2, 2)
+        tri(&[
+            (-2.0, -2.0), (6.0, -2.0), (6.0, 6.0), (5.0, 6.0),
+            (5.0, -1.0), (-1.0, -1.0), (-1.0, 6.0), (-2.0, 6.0),
+        ]), // a U whose box holds (2, 2)
+        rect(-2.0, -2.0, 6.0, 6.0), // covers the square: the centre test adds B
+        Region::from_rings([
+            vec![(-4.0, -4.0), (8.0, -4.0), (8.0, -2.0), (-4.0, -2.0)],
+            vec![(-4.0, 6.0), (8.0, 6.0), (8.0, 8.0), (-4.0, 8.0)],
+            vec![(-4.0, -2.0), (-2.0, -2.0), (-2.0, 6.0), (-4.0, 6.0)],
+            vec![(6.0, -2.0), (8.0, -2.0), (8.0, 6.0), (6.0, 6.0)],
+        ])
+        .unwrap(), // a frame whose hole holds (2, 2)
+        tri(&[(2.0, 2.0), (5.0, 3.0), (4.0, -1.0)]), // a vertex on the centre
+    ]
+}
+
+fn scaled(regions: &[Region], f: f64) -> Vec<Region> {
+    regions
+        .iter()
+        .map(|r| {
+            Region::new(r.polygons().iter().map(|p| {
+                Polygon::new(p.vertices().iter().map(|v| Point::new(v.x * f, v.y * f))).unwrap()
+            }))
+            .unwrap()
+        })
+        .collect()
+}
+
+/// Direct kernel-vs-region-path check of every ordered pair (self-pairs
+/// included) and of extra reference boxes: the relation, the bits of all
+/// nine areas (so infinities and NaNs from huge coordinates compare too),
+/// and, where a reference region exists, the hook event stream.
+fn assert_kernel_bits(regions: &[Region], extra_boxes: &[BoundingBox], family: &str) {
+    for (i, a) in regions.iter().enumerate() {
+        let mut store = SoaStore::new();
+        store.push_region(a);
+        let soa = store.view(0);
+        let references = regions.iter().map(|b| (Some(b), b.mbb()));
+        let boxes = extra_boxes.iter().map(|&m| (None, m));
+        for (j, (b, mbb)) in references.chain(boxes).enumerate() {
+            let label = format!("{family}: primary {i}, reference {j}");
+            let want = compute_cdr_with_mbb(a, mbb);
+            let want_areas = tile_areas_with_mbb(a, mbb).as_array().map(f64::to_bits);
+            let (rel, areas) = cdr_areas_from_soa(&soa, mbb);
+            assert_eq!(rel, want, "{label}");
+            assert_eq!(areas.as_array().map(f64::to_bits), want_areas, "{label}: area bits");
+            if let Some(b) = b {
+                let mut legacy = CountingHook::new();
+                let mut fused = CountingHook::new();
+                assert_eq!(compute_cdr_hooked(a, b, &mut legacy), want, "{label}");
+                assert_eq!(cdr_from_soa_hooked(&soa, mbb, &mut fused), want, "{label}");
+                assert_eq!(fused, legacy, "{label}: hook event streams");
+            }
+        }
+    }
+}
+
+/// Family 5: the fused kernel's single-tile edge path and box-gated
+/// centre test, at unit scale, at 2^±40, against degenerate reference
+/// boxes, and with grid lines near `f64::MAX / 2`.
+#[test]
+fn kernel_shortcuts_bit_identical() {
+    let degenerate = [
+        BoundingBox::new(Point::new(2.0, 0.0), Point::new(2.0, 4.0)),
+        BoundingBox::new(Point::new(0.0, 2.0), Point::new(4.0, 2.0)),
+        BoundingBox::new(Point::new(2.0, 2.0), Point::new(2.0, 2.0)),
+    ];
+    let base = shortcut_regions();
+    for f in [1.0, 2f64.powi(40), 2f64.powi(-40)] {
+        let regions = scaled(&base, f);
+        let boxes: Vec<BoundingBox> = degenerate
+            .iter()
+            .map(|m| BoundingBox::new(Point::new(m.min.x * f, m.min.y * f), Point::new(m.max.x * f, m.max.y * f)))
+            .collect();
+        assert_kernel_bits(&regions, &boxes, &format!("scale {f:e}"));
+        assert_fused_pipeline_cross_validates(&regions, &format!("shortcuts, scale {f:e}"));
+    }
+    // Coordinates near f64::MAX / 2: areas overflow to infinity (so no
+    // percentage comparison), but every bit still matches. Only the
+    // axis-parallel shapes go this far: for a slanted edge the products
+    // inside `orient2d` overflow too, and the region path's centre test
+    // stops being exact there, so it is no oracle for the kernel.
+    let h = f64::MAX / 2.0;
+    let axis_parallel: Vec<Region> = [0, 1, 2, 3, 4, 9, 10].map(|k| base[k].clone()).to_vec();
+    let huge = scaled(&axis_parallel, h / 16.0);
+    let far = [BoundingBox::new(Point::new(-h, -h), Point::new(h, h))];
+    assert_kernel_bits(&huge, &far, "near MAX / 2");
 }
